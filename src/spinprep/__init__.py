@@ -81,7 +81,6 @@ from .prepare import (
     mori_blow_up,
     mori_fields,
     operator_sandwich_state,
-    s1z_supremum,
     susceptibility,
 )
 

@@ -23,9 +23,6 @@ HERMITICITY_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
-
 
 def as_operator(a) -> np.ndarray:
     """Coerce to a square complex matrix (copy left to numpy's discretion)."""
@@ -101,84 +98,27 @@ class SpectralData(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _jacobi_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps run in a fixed (p, q) order for reproducibility.  Each rotation
-    annihilates one off-diagonal element with a unitary plane rotation whose
-    angle satisfies |theta| <= pi/4 (Rutishauser choice), which guarantees
-    convergence.  Intended for the small dimensions used here (n <= 16).
-    """
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = 1.0 + float(np.linalg.norm(a))
-    thresh = _JACOBI_TOL * scale
-    off_mask = ~np.eye(n, dtype=bool)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= thresh / (4 * n):
-                    continue
-                phase = a[p, q] / r
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # A <- U^dagger A U with U the plane rotation
-                # U[p,p]=U[q,q]=c, U[p,q]=-s*phase, U[q,p]=s*conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
-
-    w = np.diag(a).real.copy()
-    return w, v
-
-
 def herm_eig(a) -> SpectralData:
-    """Eigendecomposition of a Hermitian operator via cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian operator via LAPACK (``numpy.linalg.eigh``).
 
-    Raises ValidationError if the input is not Hermitian within tolerance.
-    Eigenvalues come back ascending; each eigenvector's largest-magnitude
-    component is made real and positive so repeated runs are bit-identical.
+    Raises ValidationError if the input is not Hermitian within tolerance (a
+    NaN entry fails that check).  The Hermitian part (A + A^dagger)/2 is
+    diagonalized.  Eigenvalues come back ascending; each eigenvector's
+    largest-magnitude component, the first one on ties, is made real and
+    positive so repeated runs are bit-identical.
     """
     a = as_operator(a)
     scale = 1.0 + float(np.abs(a).max())
     defect = hermiticity_defect(a)
-    if defect > HERMITICITY_RTOL * scale:
+    if not defect <= HERMITICITY_RTOL * scale:
         raise ValidationError(
             f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|A|)"
         )
-    w, v = _jacobi_hermitian(0.5 * (a + dag(a)))
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        z = v[k, j]
-        if abs(z) > 0.0:
-            v[:, j] = v[:, j] * (np.conj(z) / abs(z))
-    return SpectralData(w, v)
+    w, v = np.linalg.eigh(0.5 * (a + dag(a)))
+    # Columns are unit vectors, so the largest component is never zero.
+    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return SpectralData(w, v * (np.conj(z) / np.abs(z)))
 
 
 def matrix_function(a, f: Callable) -> np.ndarray:
@@ -237,8 +177,9 @@ def validate_density(rho) -> DensityReport:
     scale = 1.0 + float(np.abs(rho).max())
     h_defect = hermiticity_defect(rho)
     t_defect = abs(complex(np.trace(rho)) - 1.0)
-    w, _ = _jacobi_hermitian(0.5 * (rho + dag(rho)))
-    min_eig = float(w.min())
+    herm = 0.5 * (rho + dag(rho))
+    # LAPACK rejects non-finite input; such a report must still come back (not ok).
+    min_eig = float(np.linalg.eigvalsh(herm)[0]) if np.isfinite(herm).all() else math.nan
     ok = (
         h_defect <= HERMITICITY_RTOL * scale
         and t_defect <= DENSITY_TRACE_ATOL

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import as_operator, dag, herm_eig, kron
+from .linalg import as_operator, kron
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,8 +33,9 @@ PAULIS = (SX, SY, SZ)
 # Embeddings on the two-spin space, system factor first.
 SIGMA1 = tuple(kron(s, ID2) for s in PAULIS)
 SIGMA2 = tuple(kron(ID2, s) for s in PAULIS)
+# Two-spin correlation operators: CORR[i][j] = sigma1_i sigma2_j.
+CORR = tuple(tuple(kron(a, b) for b in PAULIS) for a in PAULIS)
 
-_DEGENERACY_ATOL = 1e-9
 # Switch F+/- and cosh ratios to exponent-scaled evaluation above this argument.
 _EXP_SCALED_CUTOFF = 350.0
 
@@ -60,7 +61,7 @@ class ModelParams:
 
 def hamiltonian(p: ModelParams, Fz: float) -> np.ndarray:
     """H = -Fz sigma1_z + e sigma2_z + g sigma1_x sigma2_x as a 4x4 matrix."""
-    return -Fz * SIGMA1[2] + p.e * SIGMA2[2] + p.g * kron(SX, SX)
+    return -Fz * SIGMA1[2] + p.e * SIGMA2[2] + p.g * CORR[0][0]
 
 
 def energies(p: ModelParams, Fz: float) -> np.ndarray:
@@ -76,44 +77,6 @@ def energies(p: ModelParams, Fz: float) -> np.ndarray:
     return np.array([-r_minus, r_minus, -r_plus, r_plus])
 
 
-def _s1z_expectation(vec: np.ndarray) -> float:
-    return float(np.real(np.vdot(vec, SIGMA1[2] @ vec)))
-
-
-def _numeric_projectors(p: ModelParams, Fz: float) -> list[np.ndarray]:
-    """Projectors from the numeric eigensolver, matched to the fixed energy order.
-
-    Used when some eigenvalue vanishes and the closed-form projector
-    expressions divide by zero.  Within a degenerate cluster the eigenvectors
-    are ordered by <sigma1_z> descending, which pins a deterministic basis.
-    """
-    ana = energies(p, Fz)
-    scale = 1.0 + abs(Fz) + abs(p.e) + abs(p.g)
-    w, v = herm_eig(hamiltonian(p, Fz))
-    cols = list(range(4))
-    # reorder inside degenerate clusters
-    start = 0
-    while start < 4:
-        stop = start + 1
-        while stop < 4 and w[stop] - w[start] <= _DEGENERACY_ATOL * scale:
-            stop += 1
-        if stop - start > 1:
-            cols[start:stop] = sorted(
-                cols[start:stop], key=lambda j: -_s1z_expectation(v[:, j])
-            )
-        start = stop
-    used = [False] * 4
-    projectors: list[np.ndarray] = []
-    for target in ana:
-        best = min(
-            (j for j in range(4) if not used[j]), key=lambda j: abs(w[cols[j]] - target)
-        )
-        used[best] = True
-        vec = v[:, cols[best]]
-        projectors.append(np.outer(vec, vec.conj()))
-    return projectors
-
-
 def analytic_spectrum(p: ModelParams, Fz: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Closed-form eigenvalues and rank-1 eigenprojectors of the Hamiltonian.
 
@@ -125,30 +88,27 @@ def analytic_spectrum(p: ModelParams, Fz: float) -> tuple[np.ndarray, list[np.nd
 
         P_i = 1/4 (1 - sz sz - (Fz+e)/E_i (sz1 - sz2) + g/E_i (sx sx + sy sy)).
 
-    The expressions divide by E_i; if any eigenvalue (nearly) vanishes, which
-    happens only for g = 0 and Fz = +-e, the projectors fall back to the
-    numeric eigendecomposition with a deterministic degenerate-basis choice.
+    The expressions divide by E_i.  An energy is exactly zero only for g = 0
+    and Fz = +-e; there the g -> 0 limit is used, with g/E_i = 0 and the
+    detuning ratio (Fz -+ e)/E_i = -1 for E1, E3 and +1 for E2, E4.  The
+    projectors then stay in their sector, and the first projector of each
+    degenerate pair has the larger <sigma1_z>.
     """
     vals = energies(p, Fz)
-    scale = 1.0 + abs(Fz) + abs(p.e) + abs(p.g)
-    if np.abs(vals).min() < _DEGENERACY_ATOL * scale:
-        return vals, _numeric_projectors(p, Fz)
-
-    szsz = kron(SZ, SZ)
-    sxsx = kron(SX, SX)
-    sysy = kron(SY, SY)
+    szsz, sxsx, sysy = CORR[2][2], CORR[0][0], CORR[1][1]
     sz_sum = SIGMA1[2] + SIGMA2[2]
     sz_dif = SIGMA1[2] - SIGMA2[2]
     projectors = []
     for i, energy in enumerate(vals):
-        if i < 2:
-            proj = 0.25 * (
-                ID4 + szsz - ((Fz - p.e) / energy) * sz_sum + (p.g / energy) * (sxsx - sysy)
-            )
+        if energy == 0.0:
+            detuning, coupling = (-1.0 if i % 2 == 0 else 1.0), 0.0
         else:
-            proj = 0.25 * (
-                ID4 - szsz - ((Fz + p.e) / energy) * sz_dif + (p.g / energy) * (sxsx + sysy)
-            )
+            detuning = (Fz - p.e if i < 2 else Fz + p.e) / energy
+            coupling = p.g / energy
+        if i < 2:
+            proj = 0.25 * (ID4 + szsz - detuning * sz_sum + coupling * (sxsx - sysy))
+        else:
+            proj = 0.25 * (ID4 - szsz - detuning * sz_dif + coupling * (sxsx + sysy))
         projectors.append(proj)
     return vals, projectors
 
@@ -264,7 +224,7 @@ def bloch_decompose(rho) -> BlochDecomposition:
         raise DimensionError(f"expected a 4x4 operator, got {rho.shape}")
     s1 = np.array([np.trace(rho @ s).real for s in SIGMA1])
     s2 = np.array([np.trace(rho @ s).real for s in SIGMA2])
-    c = np.array([[np.trace(rho @ kron(a, b)).real for b in PAULIS] for a in PAULIS])
+    c = np.array([[np.trace(rho @ op).real for op in row] for row in CORR])
     return BlochDecomposition(s1, s2, c)
 
 
@@ -274,7 +234,7 @@ def bloch_compose(b: BlochDecomposition) -> np.ndarray:
     for i in range(3):
         rho = rho + b.s1[i] * SIGMA1[i] + b.s2[i] * SIGMA2[i]
         for j in range(3):
-            rho = rho + b.c[i, j] * kron(PAULIS[i], PAULIS[j])
+            rho = rho + b.c[i, j] * CORR[i][j]
     return 0.25 * rho
 
 

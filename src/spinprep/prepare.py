@@ -158,22 +158,13 @@ def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
     return (v * weights) @ dag(v)
 
 
-def s1z_supremum(model: ModelParams) -> float:
-    """Supremum of |S1z| over all fields: 1, approached only as Fz -> +-inf.
-
-    The reduced state becomes pure like 1 - g^2/(2 Fz^2), so every target
-    strictly inside (-1, 1) is reachable at a finite (possibly large) field.
-    """
-    return 1.0
-
-
 def invert_field(model: ModelParams, target_S1z: float) -> float:
     """Field Fz with S1z(Fz) = target, to within 1e-12 in S1z.
 
     S1z is odd and strictly increasing in Fz, so the root is bracketed by
     doubling and pinned by bisection, with a Newton polish at the end.
     """
-    sup = s1z_supremum(model)
+    sup = 1.0  # sup |S1z| over all fields, approached only as Fz -> +-inf
     if not abs(target_S1z) < sup:
         raise UnreachableStateError(
             f"target S1z = {target_S1z} is at or beyond the supremum {sup} "

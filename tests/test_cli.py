@@ -37,11 +37,24 @@ class TestSweepBloch:
         assert len(lines) == 1 + 603
         assert summary_value(err, "status") == "pass"
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
-        args = ["sweep-bloch", "--steps", "51"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["sweep-bloch", "--steps", "51"], id="sweep-bloch"),
+            # the subcommands below run through herm_eig and validate_density
+            pytest.param(["evolve", "--prep", "equilibrium"], id="evolve-equilibrium"),
+            pytest.param(["affinity", "--prep", "mori"], id="affinity-mori"),
+            pytest.param(
+                ["affinity", "--prep", "factorize-and-wait"], id="affinity-factorize-and-wait"
+            ),
+            pytest.param(["pechukas"], id="pechukas"),
+        ],
+    )
+    def test_byte_identical_reruns(self, capsys, tmp_path, args):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, *args, "--out", str(out1))[0] == 0
         assert run(capsys, *args, "--out", str(out2))[0] == 0
+        assert len(out1.read_text().splitlines()) >= 2  # header and at least one row
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_stdout_by_default(self, capsys):

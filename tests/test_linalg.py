@@ -105,6 +105,8 @@ class TestHermEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            herm_eig(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
     def test_against_lapack(self, rng):
         for n in (2, 3, 4, 5):
@@ -114,6 +116,10 @@ class TestHermEig:
             scale = 1.0 + np.linalg.norm(a)
             assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-12 * scale
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
+            # phase convention: the largest-magnitude component is real and positive
+            lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+            assert np.abs(lead.imag).max() <= 1e-15
+            assert lead.real.min() > 0.0
 
     def test_deterministic(self, rng):
         a = random_hermitian(rng, 4)
@@ -189,6 +195,8 @@ class TestValidateDensity:
         report = validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
         assert not report.ok
         assert report.hermiticity_defect > 0.1
+        # report-style also for non-finite input: no exception, not ok
+        assert not validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]])).ok
 
     def test_equilibrium_states_pass(self):
         # exp(-beta H)/Z is a density matrix by construction; sweep the field

@@ -91,19 +91,26 @@ class TestAnalyticSpectrum:
             assert abs(energies(p, -fz)[0] - energies(p, fz)[2]) < 1e-15
 
     def test_degenerate_point_handled(self):
-        # g = 0, Fz = e makes E1 = E2 = 0; the closed-form projectors divide
-        # by the energy there, so the numeric fallback must take over.
-        p = ModelParams(1.0, 1.0, 0.0)
-        vals, projs = analytic_spectrum(p, 1.0)
-        h = hamiltonian(p, 1.0)
-        assert np.linalg.norm(sum(e * proj for e, proj in zip(vals, projs)) - h) < 1e-12
-        assert_close(sum(projs), np.eye(4), 1e-12, "completeness at degeneracy")
-        for proj in projs:
-            assert np.linalg.norm(proj @ proj - proj) < 1e-12
-        # degenerate-basis convention: first even-sector projector has the
-        # larger <sigma1_z>
-        s1z = [float(np.trace(proj @ kron(SZ, ID2)).real) for proj in projs]
-        assert s1z[0] > s1z[1]
+        # g = 0 and Fz = +-e make a pair of energies vanish (all four at
+        # e = Fz = 0); the closed-form projectors divide by the energy there,
+        # so the g -> 0 limit must take over.
+        for e, g, fz in ((1.0, 0.0, 1.0), (1.0, 0.0, -1.0), (0.0, 0.0, 0.0)):
+            p = ModelParams(1.0, e, g)
+            vals, projs = analytic_spectrum(p, fz)
+            h = hamiltonian(p, fz)
+            assert np.linalg.norm(sum(en * proj for en, proj in zip(vals, projs)) - h) < 1e-12
+            assert_close(sum(projs), np.eye(4), 1e-12, "completeness at degeneracy")
+            for proj in projs:
+                assert np.linalg.norm(proj @ proj - proj) < 1e-12
+            # degenerate-basis convention: within a degenerate pair the first
+            # projector has the larger <sigma1_z>
+            s1z = [float(np.trace(proj @ kron(SZ, ID2)).real) for proj in projs]
+            for i in (0, 2):
+                if vals[i] == vals[i + 1]:
+                    assert s1z[i] > s1z[i + 1]
+            # E1, E2 project into the even sector of sigma1_z sigma2_z, E3, E4 the odd
+            parity = [float(np.trace(proj @ kron(SZ, SZ)).real) for proj in projs]
+            assert_close(parity, [1.0, 1.0, -1.0, -1.0], 1e-12, "sector of each projector")
 
 
 class TestAuxF:
