@@ -22,6 +22,7 @@ line goes to stderr at the end of each run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -151,7 +152,11 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults, then check them.
+
+    fd_step and tolerance_scale must be finite and positive, and fz_list must
+    hold at least two fields; a violation is a configuration error (exit 2).
+    """
     schema = _SCHEMAS[args.subcommand]
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - set(schema)
@@ -166,6 +171,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = convert(config[key])
         else:
             cfg[key] = default
+    for key in ("fd_step", "tolerance_scale"):
+        if key in cfg and not 0.0 < cfg[key] < math.inf:
+            raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
+    if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
+        raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
     return cfg
 
 

@@ -122,20 +122,14 @@ def herm_eig(a) -> SpectralData:
 
 
 def matrix_function(a, f: Callable) -> np.ndarray:
-    """Apply a scalar function to a Hermitian operator through its spectrum.
+    """Apply a function to a Hermitian operator through its spectrum.
 
-    Returns V diag(f(w)) V^dagger.  ``f`` may be a numpy ufunc or a plain
-    scalar function of a real argument; it may return complex values
-    (e.g. w -> exp(-1j*w*t) builds the unitary propagator).
+    Returns V diag(f(w)) V^dagger.  ``f`` is applied once to the array of
+    eigenvalues, so it must act elementwise on numpy arrays; it may return
+    complex values (e.g. w -> exp(-1j*w*t) builds the unitary propagator).
     """
     w, v = herm_eig(a)
-    try:
-        fw = np.asarray(f(w), dtype=complex)
-        if fw.shape != w.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        fw = np.array([f(x) for x in w], dtype=complex)
-    return (v * fw) @ dag(v)
+    return (v * np.asarray(f(w), dtype=complex)) @ dag(v)
 
 
 def fractional_power(rho, x: float) -> np.ndarray:

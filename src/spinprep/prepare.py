@@ -46,7 +46,8 @@ from .linalg import (
     require_density,
     validate_density,
 )
-from .model import ID2, ModelParams, equilibrium_observables, hamiltonian, qubit_bloch
+from .model import CORR, ID2, ID4, SIGMA1, SIGMA2, ModelParams, equilibrium_observables
+from .model import hamiltonian, qubit_bloch
 
 # How closely a reduced state must sit on a preparation's reachable manifold.
 TRACE_BACK_ATOL = 1e-10
@@ -148,21 +149,28 @@ def embed_system(op) -> np.ndarray:
 
 
 def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
-    """exp(-beta H(Fz)) / Z via the eigensolver, overflow-safe for any field.
+    """exp(-beta H(Fz)) / Z built from its five closed-form components.
 
-    The Boltzmann weights are computed after shifting by the ground energy.
+    The state is 1/4 (1 + S1z sz1 + S2z sz2 + Cxx sx sx + Cyy sy sy + Czz sz sz)
+    with the components of equilibrium_observables, which are overflow-safe
+    for any field; no eigensolver is involved.
     """
-    w, v = herm_eig(hamiltonian(model, Fz))
-    weights = np.exp(-model.beta * (w - w.min()))
-    weights /= weights.sum()
-    return (v * weights) @ dag(v)
+    p = equilibrium_observables(model, Fz)
+    return 0.25 * (
+        ID4 + p.S1z * SIGMA1[2] + p.S2z * SIGMA2[2]
+        + p.Cxx * CORR[0][0] + p.Cyy * CORR[1][1] + p.Czz * CORR[2][2]
+    )
 
 
 def invert_field(model: ModelParams, target_S1z: float) -> float:
     """Field Fz with S1z(Fz) = target, to within 1e-12 in S1z.
 
     S1z is odd and strictly increasing in Fz, so the root is bracketed by
-    doubling and pinned by bisection, with a Newton polish at the end.
+    doubling the field and then pinned by Illinois regula falsi inside the
+    last doubling bracket: secant steps that never leave the bracket, where
+    an end kept for two steps in a row has its residual halved.  It stops at
+    |S1z - target| <= 1e-14, or when the next iterate is not strictly inside
+    the bracket, and returns the evaluated field with the smallest residual.
     """
     sup = 1.0  # sup |S1z| over all fields, approached only as Fz -> +-inf
     if not abs(target_S1z) < sup:
@@ -175,14 +183,16 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
         return 0.0
 
     goal = abs(target_S1z)
-    sign = 1.0 if target_S1z > 0 else -1.0
 
-    def s1z(f: float) -> float:
-        return equilibrium_observables(model, f).S1z
+    def residual(f: float) -> float:
+        return equilibrium_observables(model, f).S1z - goal
 
+    lo, r_lo = 0.0, -goal  # S1z(0) = 0 exactly: S1z is odd
     hi = 1.0 / model.beta
     cap = 1e8 / model.beta
-    while s1z(hi) < goal:
+    r_hi = residual(hi)
+    while r_hi < 0.0:
+        lo, r_lo = hi, r_hi
         hi *= 2.0
         if hi > cap:
             raise UnreachableStateError(
@@ -190,33 +200,29 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
                 f"the supremum {sup} is approached only asymptotically",
                 supremum=sup,
             )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        r_hi = residual(hi)
+    root, r = (hi, r_hi) if r_hi <= -r_lo else (lo, r_lo)
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    while abs(r) > 1e-14:
+        x = hi - r_hi * (hi - lo) / (r_hi - r_lo)
+        if not lo < x < hi:
             break
-        if s1z(mid) < goal:
-            lo = mid
+        r_x = residual(x)
+        if abs(r_x) < abs(r):
+            root, r = x, r_x
+        if r_x < 0.0:
+            lo, r_lo = x, r_x
+            r_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    # Newton polish with a finite-difference slope
-    for _ in range(3):
-        err = s1z(root) - goal
-        if abs(err) <= 1e-13:
-            break
-        h = 1e-7 * (1.0 + abs(root))
-        slope = (s1z(root + h) - s1z(root - h)) / (2.0 * h)
-        if slope <= 0.0:
-            break
-        step = err / slope
-        if abs(step) < 4.0 * abs(root) + 1.0:
-            root -= step
-    if abs(s1z(root) - goal) > 1e-12:
+            hi, r_hi = x, r_x
+            r_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+    if abs(r) > 1e-12:
         raise RuntimeError(
             f"field inversion did not converge for target S1z = {target_S1z}"
         )
-    return sign * root
+    return math.copysign(root, target_S1z)
 
 
 def operator_sandwich_state(model: ModelParams, Fz: float, ops) -> tuple[np.ndarray, DensityReport]:
@@ -260,41 +266,23 @@ def kubo_integral(rho0, X, beta: float = 1.0) -> np.ndarray:
     mean = float(np.trace(X @ rho0).real)
     dx_eig = dag(v) @ (X - mean * np.eye(X.shape[0])) @ v
 
-    n = len(p)
-    kernel = np.zeros((n, n))
-    for m in range(n):
-        for k in range(n):
-            pm, pk = p[m], p[k]
-            if pm == 0.0 or pk == 0.0:
-                continue  # (pm - pk)/ln(pm/pk) -> 0 when a probability vanishes
-            d = math.log(pm) - math.log(pk)
-            if abs(d) < _KUBO_DEGENERATE_LOG:
-                kernel[m, k] = 0.5 * (pm + pk)
-            else:
-                kernel[m, k] = (pm - pk) / d
+    pm, pk = p[:, None], p[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.log(pm) - np.log(pk)
+        kernel = np.where(np.abs(d) < _KUBO_DEGENERATE_LOG, 0.5 * (pm + pk), (pm - pk) / d)
+    kernel[(pm == 0.0) | (pk == 0.0)] = 0.0  # (pm - pk)/ln(pm/pk) -> 0 as a probability vanishes
     return beta * (v @ (dx_eig * kernel) @ dag(v))
 
 
-def susceptibility(model: ModelParams, observables) -> np.ndarray:
-    """Response matrix chi_ij = tr(dX_i * K_j) with K_j the Kubo integral of X_j.
-
-    Everything is evaluated in the zero-field equilibrium state.  chi is real
-    symmetric, and positive definite whenever the observables are linearly
-    independent and none is conserved; a condition number above 1e12 (or a
-    non-finite one) raises NonInvertibleSusceptibilityError.
-    """
-    observables = list(observables)
+def _linear_response(model: ModelParams, observables: list) -> tuple[np.ndarray, list, np.ndarray]:
+    """Zero-field state rho0, the Kubo operators K_j and chi, with chi's checks."""
     if not observables:
         raise ValueError("susceptibility requires at least one observable")
     rho0 = equilibrium_state(model, 0.0)
     total_obs = [embed_system(x) for x in observables]
     kubo = [kubo_integral(rho0, x, beta=model.beta) for x in total_obs]
-    n = len(observables)
-    chi = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
-            chi[i, j] = float(np.trace(total_obs[i] @ kubo[j]).real)
+    # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
+    chi = np.array([[float(np.trace(xi @ kj).real) for kj in kubo] for xi in total_obs])
     sym_defect = float(np.abs(chi - chi.T).max())
     if sym_defect > 1e-10 * (1.0 + float(np.abs(chi).max())):
         raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
@@ -304,34 +292,46 @@ def susceptibility(model: ModelParams, observables) -> np.ndarray:
         raise NonInvertibleSusceptibilityError(
             f"susceptibility matrix is not invertible (condition number {cond:.3e})", cond
         )
-    return chi
+    return rho0, kubo, chi
+
+
+def susceptibility(model: ModelParams, observables) -> np.ndarray:
+    """Response matrix chi_ij = tr(dX_i * K_j) with K_j the Kubo integral of X_j.
+
+    Everything is evaluated in the closed-form zero-field equilibrium state.
+    chi is real symmetric, and positive definite whenever the observables are
+    linearly independent and none is conserved; a condition number above 1e12
+    (or a non-finite one) raises NonInvertibleSusceptibilityError.
+    """
+    return _linear_response(model, list(observables))[2]
+
+
+def _mori_fields(model: ModelParams, observables, rho_S) -> tuple[np.ndarray, np.ndarray, list]:
+    """Field estimates for rho_S, with the rho0 and K_j they were computed from."""
+    rho_S = _check_qubit_density(rho_S, "reduced state")
+    observables = list(observables)
+    rho0, kubo, chi = _linear_response(model, observables)
+    shift = rho_S - partial_trace(rho0, keep=0)
+    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in observables])
+    return np.linalg.solve(chi, excess), rho0, kubo
 
 
 def mori_fields(model: ModelParams, observables, rho_S) -> np.ndarray:
     """Field estimates F_i = sum_j chi^-1_ij <X_j - <X_j>_0> inferred from rho_S."""
-    rho_S = _check_qubit_density(rho_S, "reduced state")
-    observables = list(observables)
-    chi = susceptibility(model, observables)
-    rho_s0 = partial_trace(equilibrium_state(model, 0.0), keep=0)
-    excess = np.array(
-        [float(np.trace(as_operator(x) @ (rho_S - rho_s0)).real) for x in observables]
-    )
-    return np.linalg.solve(chi, excess)
+    return _mori_fields(model, observables, rho_S)[0]
 
 
 def mori_blow_up(model: ModelParams, observables, rho_S) -> np.ndarray:
-    """Linear-response blow-up: rho0 + sum_i K_i F_i with F from mori_fields.
+    """Linear-response blow-up: rho0 + sum_i K_i F_i with F as in mori_fields.
 
-    Affine in rho_S by construction.  For rho_S equal to the reduced
-    zero-field state all field estimates vanish and rho0 is returned exactly.
+    rho0, K_i, chi and F are computed once per call.  Affine in rho_S by
+    construction.  For rho_S equal to the reduced zero-field state all field
+    estimates vanish and rho0 is returned exactly.
     """
-    rho_S = _check_qubit_density(rho_S, "reduced state")
-    observables = list(observables)
-    fields = mori_fields(model, observables, rho_S)
-    rho0 = equilibrium_state(model, 0.0)
+    fields, rho0, kubo = _mori_fields(model, observables, rho_S)
     state = rho0.astype(complex)
-    for x, f in zip(observables, fields):
-        state = state + f * kubo_integral(rho0, embed_system(x), beta=model.beta)
+    for k, f in zip(kubo, fields):
+        state = state + f * k
     return state
 
 

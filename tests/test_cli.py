@@ -168,9 +168,35 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "sweep-bloch", "--config", "/nonexistent/path.cfg")
         assert code == 2
 
-    def test_malformed_flag_value(self, capsys):
-        code, _, _ = run(capsys, "sweep-bloch", "--beta-g", "zero")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-bloch", "--beta-g", "zero"),
+            ("mori-check", "--fd-step", "0"),
+            ("mori-check", "--fd-step=-1e-4"),
+            ("mori-check", "--fd-step", "inf"),
+            ("sweep-linearity", "--tolerance-scale=-1"),
+            ("sweep-linearity", "--tolerance-scale", "0"),
+            ("sweep-linearity", "--tolerance-scale", "nan"),
+            ("pechukas", "--fz-list", "4"),
+        ],
+        ids=[
+            "beta-g-not-a-number",
+            "fd-step-zero",
+            "fd-step-negative",
+            "fd-step-inf",
+            "tolerance-scale-negative",
+            "tolerance-scale-zero",
+            "tolerance-scale-nan",
+            "fz-list-single-field",
+        ],
+    )
+    def test_malformed_flag_value(self, capsys, argv):
+        # rejected before any runner starts: no CSV, configuration-error exit
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert "configuration error" in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

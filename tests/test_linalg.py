@@ -174,12 +174,6 @@ class TestMatrixFunction:
         result = fractional_power(np.diag([1.0, -0.5e-10]), 0.5)
         assert_close(result, np.diag([1.0, 0.0]), 1e-12, "clamped power")
 
-    def test_scalar_function_accepted(self):
-        import math
-
-        result = matrix_function(np.diag([0.0, 1.0]), math.exp)
-        assert_close(result, np.diag([1.0, math.e]), 1e-12, "scalar callable")
-
 
 class TestValidateDensity:
     def test_maximally_mixed_passes(self):

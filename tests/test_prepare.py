@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import spinprep.prepare
 from spinprep import (
     Equilibrium,
     ExtrapolationWarning,
@@ -20,6 +22,7 @@ from spinprep import (
     equilibrium_observables,
     equilibrium_state,
     fractional_power,
+    hamiltonian,
     invert_field,
     kron,
     kubo_integral,
@@ -72,6 +75,34 @@ class TestEquilibriumState:
         assert abs(b.s2[2] - p.S2z) < 1e-12
         assert abs(b.c[0, 0] - p.Cxx) < 1e-12
 
+    @pytest.mark.parametrize(
+        "beta, e, g, fz",
+        [
+            (1.0, 1.0, 1.0, 0.0),  # the canonical point
+            (1.0, 1.0, 1.5, math.sqrt(349.9**2 - 1.5**2) - 1.0),  # |beta E3| just below 350
+            (1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0),  # just above: exponent-scaled
+            (2.0, 1.0, 1.5, 0.5 * math.sqrt(700.0**2 - 3.0**2) - 1.0),  # |beta E3| = 700
+            (1.0, 1.0, 0.0, 1.0),  # g = 0, Fz = e: E1 = E2 = 0
+            (1.0, 1.0, 0.0, -1.0),  # g = 0, Fz = -e: E3 = E4 = 0
+            (1.0, 0.0, 0.0, 0.0),  # fourfold degenerate
+        ],
+        ids=[
+            "canonical",
+            "below-cutoff",
+            "above-cutoff",
+            "beta-E-700",
+            "g0-Fz-e",
+            "g0-Fz-minus-e",
+            "zero",
+        ],
+    )
+    def test_matches_shifted_matrix_exponential(self, beta, e, g, fz):
+        # independent reference: exp(-beta (H - E_min)) / Z from scipy
+        h = hamiltonian(ModelParams(beta, e, g), fz)
+        rho = scipy.linalg.expm(-beta * (h - np.linalg.eigvalsh(h)[0] * np.eye(4)))
+        rho /= np.trace(rho).real
+        assert_close(equilibrium_state(ModelParams(beta, e, g), fz), rho, 1e-12, "thermal state")
+
     def test_uncoupled_state_factorizes(self):
         model = ModelParams(1.0, 1.0, 0.0)
         for fz in (-0.7, 0.4, 2.0):
@@ -98,9 +129,18 @@ class TestInvertField:
             s = equilibrium_observables(MODEL, beta_f).S1z
             assert abs(invert_field(MODEL, s) - beta_f) < 1e-10
 
-    def test_inverts_to_stated_tolerance(self):
-        for target in (-0.93, -0.2, 0.41, 0.88):
+    def test_inverts_to_stated_tolerance(self, monkeypatch):
+        fields = []
+
+        def counting(model, fz):
+            fields.append(fz)
+            return equilibrium_observables(model, fz)
+
+        monkeypatch.setattr(spinprep.prepare, "equilibrium_observables", counting)
+        for target in (-0.9999, -0.93, -0.2, 0.41, 0.88, 0.9999):
+            fields.clear()
             field = invert_field(MODEL, target)
+            assert len(fields) <= 30, f"{len(fields)} closed-form evaluations for {target}"
             assert abs(equilibrium_observables(MODEL, field).S1z - target) <= 1e-12
 
     def test_extreme_target_needs_large_field(self):
@@ -239,6 +279,20 @@ class TestKuboIntegral:
         combined = kubo_integral(rho0, a * x + b * y)
         split = a * kubo_integral(rho0, x) + b * kubo_integral(rho0, y)
         assert_close(combined, split, 1e-12, "Kubo linearity")
+
+    def test_kernel_with_vanishing_and_repeated_probabilities(self, rng):
+        # diagonal rho0: element (m, n) is dX_mn (p_m - p_n) / ln(p_m / p_n),
+        # dX_mn p_m where p_m = p_n, and zero where a probability vanishes
+        p = np.array([0.0, 0.25, 0.25, 0.5])
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        x = x + x.conj().T
+        dx = x - np.trace(x @ np.diag(p)).real * np.eye(4)
+        kernel = np.zeros((4, 4))
+        for m, pm in enumerate(p):
+            for n, pn in enumerate(p):
+                if pm > 0.0 and pn > 0.0:
+                    kernel[m, n] = pm if pm == pn else (pm - pn) / math.log(pm / pn)
+        assert_close(kubo_integral(np.diag(p), x), dx * kernel, 1e-15, "Kubo kernel")
 
 
 class TestSusceptibility:
