@@ -73,8 +73,7 @@ def main():
     print("\n== factorize-and-wait preparation")
     model_fw = sp.ModelParams(1.0, 1.0, 1.0)
     fw = sp.FactorizeAndWait(model_fw, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
-    g_map = sp.factorizing_propagator(sp.hamiltonian(model_fw, 0.0), ID2 / 2, 0.7)
-    in_range = [g_map.apply(z_state(float(s))) for s in z_targets]
+    in_range = [fw.G.apply(z_state(float(s))) for s in z_targets]  # G: the waiting map
     defect = sp.affinity_defect(lambda r: sp.blow_up(fw, r), in_range, LAMS)
     print(f"  affinity defect on its domain: {defect:.2e}  (affine)")
     try:

@@ -14,9 +14,11 @@ Shared flags: --beta-e, --beta-g (comma list), --out PATH (default stdout),
 (multiplies every pass/fail tolerance).
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
-configuration error.  Results go to --out as CSV (one header row, floats with
-17 significant digits); a single machine-readable ``run-summary`` key=value
-line goes to stderr at the end of each run.
+configuration error, an input outside a preparation's domain, or a solver
+that did not converge (then no CSV is written).  Results go to --out as CSV
+(one header row, floats with 17 significant digits); a single
+machine-readable ``run-summary`` key=value line goes to stderr at the end of
+each run.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .diagnostics import (
     linearity_scan,
 )
 from .errors import DomainError, ValidationError
-from .evolve import chebyshev_targets, factorizing_propagator, fit_affine_map, reduced_evolution
+from .evolve import chebyshev_targets, fit_affine_map, reduced_evolution
 from .linalg import partial_trace
 from .model import (
     SZ,
@@ -154,8 +156,10 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
-    fd_step and tolerance_scale must be finite and positive, and fz_list must
-    hold at least two fields; a violation is a configuration error (exit 2).
+    Every number and list entry must be finite, every list nonempty,
+    fd_step and tolerance_scale positive, fz_list at least two fields long,
+    samples at least 2 and f_steps at least 1, so that no run tests nothing;
+    a violation is a configuration error (exit 2).
     """
     schema = _SCHEMAS[args.subcommand]
     config = _read_config(args.config) if args.config else {}
@@ -171,11 +175,23 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = convert(config[key])
         else:
             cfg[key] = default
+    for key, value in cfg.items():
+        if isinstance(value, str):
+            continue
+        flag = key.replace("_", "-")
+        numbers = value if isinstance(value, list) else [value]
+        if not numbers:
+            raise ValueError(f"{flag} needs at least one value")
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{flag} must be finite, got {value}")
     for key in ("fd_step", "tolerance_scale"):
-        if key in cfg and not 0.0 < cfg[key] < math.inf:
+        if key in cfg and not cfg[key] > 0.0:
             raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
     if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
         raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
+    for key, least in (("samples", 2), ("f_steps", 1)):
+        if key in cfg and cfg[key] < least:
+            raise ValueError(f"{key.replace('_', '-')} must be at least {least}, got {cfg[key]}")
     return cfg
 
 
@@ -273,7 +289,7 @@ def _make_preparation(cfg: dict, model: ModelParams):
     raise ValueError(f"unknown preparation {kind!r}")
 
 
-def _affinity_samples(cfg: dict, model: ModelParams, prep) -> list[np.ndarray]:
+def _affinity_samples(cfg: dict, prep) -> list[np.ndarray]:
     if isinstance(prep, MoriLinearResponse):
         targets = chebyshev_targets(cfg["samples"], -0.05, 0.05)
         return [_z_state(float(s)) for s in targets]
@@ -285,8 +301,7 @@ def _affinity_samples(cfg: dict, model: ModelParams, prep) -> list[np.ndarray]:
             for s in targets
         ]
     if isinstance(prep, FactorizeAndWait):
-        g_map = factorizing_propagator(hamiltonian(model, prep.Fz_wait), prep.rho_B0, prep.t0)
-        return [g_map.apply(_z_state(float(s))) for s in targets]
+        return [prep.G.apply(_z_state(float(s))) for s in targets]
     return [_z_state(float(s)) for s in targets]
 
 
@@ -305,7 +320,7 @@ def _run_affinity(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
     for beta_g in cfg["beta_g"]:
         model = _model(cfg["beta_e"], beta_g)
         prep = _make_preparation(cfg, model)
-        samples = _affinity_samples(cfg, model, prep)
+        samples = _affinity_samples(cfg, prep)
         defect = affinity_defect(lambda rs: blow_up(prep, rs), samples, cfg["lambdas"])
         rows.append((cfg["prep"], cfg["beta_e"], beta_g, defect))
         name = f"affinity_{cfg['prep']}_bg_{_fmt(beta_g)}"
@@ -317,6 +332,14 @@ def _run_affinity(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
         else:
             checks.append(Check(name, True, defect, float("inf")))
     return header, rows, checks
+
+
+# affine-fit tolerance of the reduced evolution under the affine preparations
+_EVOLVE_FIT_TOL = {
+    "factorizing": 1e-11,
+    "mori": 1e-10,
+    "factorize-and-wait": 1e-10,
+}
 
 
 def _run_evolve(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
@@ -335,10 +358,7 @@ def _run_evolve(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
                 partial_trace(equilibrium_state(model, f), keep=0) for f in cfg["fz_grid"]
             ]
             if cfg["prep"] == "factorize-and-wait":
-                g_map = factorizing_propagator(
-                    hamiltonian(model, prep.Fz_wait), prep.rho_B0, prep.t0
-                )
-                states = [g_map.apply(s) for s in states]
+                states = [prep.G.apply(s) for s in states]
         pairs = []
         for rho_s in states:
             out = reduced_evolution(prep, h_evolve, rho_s, cfg["time"])
@@ -349,10 +369,9 @@ def _run_evolve(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
             )
         residual = fit_affine_map(pairs).residual
         name = f"evolution_fit_{cfg['prep']}_bg_{_fmt(beta_g)}"
-        if cfg["prep"] == "factorizing":
-            checks.append(Check(name, residual < 1e-11 * scale, residual, 1e-11 * scale))
-        elif cfg["prep"] == "mori":
-            checks.append(Check(name, residual < 1e-10 * scale, residual, 1e-10 * scale))
+        if cfg["prep"] in _EVOLVE_FIT_TOL:
+            tol = _EVOLVE_FIT_TOL[cfg["prep"]] * scale
+            checks.append(Check(name, residual < tol, residual, tol))
         else:
             checks.append(Check(name, True, residual, float("inf")))
     return header, rows, checks
@@ -465,7 +484,8 @@ def main(argv=None) -> int:
     try:
         header, rows, checks = _RUNNERS[args.subcommand](cfg)
         _write_csv(args.out, header, rows)
-    except (DomainError, ValidationError, ValueError) as err:
+    except (DomainError, ValidationError, ValueError, RuntimeError) as err:
+        # RuntimeError: a solver that did not converge (invert_field); no result
         print(f"spinprep: {err}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     InsufficientSpanError,
     NonInvertiblePropagatorError,
+    ValidationError,
 )
 from .linalg import as_operator, dag, kron, matrix_function, partial_trace, require_density
 from .model import ID2, PAULIS, qubit_bloch
@@ -155,12 +156,16 @@ def fit_affine_map(samples) -> AffineFitReport:
     """Fit rho_out ~ T(rho_in) + I over (input, output) operator pairs.
 
     Needs at least 5 samples with at least two distinct inputs; raises
-    InsufficientSpanError otherwise.  Inputs confined to a subspace (for
-    instance the sigma_z axis for equilibrium-preparable states) are handled
-    by a minimum-norm least-squares solution, so the residual always measures
+    InsufficientSpanError otherwise.  A sample with a non-finite entry raises
+    ValidationError: its residual would be NaN, which the maximum over the
+    sample would drop.  Inputs confined to a subspace (for instance the
+    sigma_z axis for equilibrium-preparable states) are handled by a
+    minimum-norm least-squares solution, so the residual always measures
     deviation from affinity on the sampled family itself.
     """
     pairs = [(as_operator(a), as_operator(b)) for a, b in samples]
+    if not all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in pairs):
+        raise ValidationError("affine fit samples must be finite")
     if len(pairs) < 5:
         raise InsufficientSpanError(
             f"affine fit needs at least 5 samples, got {len(pairs)}"

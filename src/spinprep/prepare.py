@@ -15,6 +15,10 @@ Tr_env R(rho_S) = rho_S.  Five procedures are implemented:
 * MoriLinearResponse: first order of the equilibrium preparation in the
   field, an exactly affine blow-up built from Kubo canonical correlations.
 
+The two affine preparations with model-dependent data (MoriLinearResponse and
+FactorizeAndWait) compute that data once, when the value is constructed, so a
+blow-up does only the work that depends on the reduced state.
+
 All constructors and maps are pure; preparation values are immutable.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (
     UnreachableStateError,
     ValidationError,
 )
-from .evolve import evolve_total, factorizing_propagator, invert_propagator
+from .evolve import ReducedAffineMap, evolve_total, factorizing_propagator, invert_propagator
 from .linalg import (
     DensityReport,
     as_operator,
@@ -54,6 +58,12 @@ TRACE_BACK_ATOL = 1e-10
 
 _CHI_MAX_COND = 1e12
 _KUBO_DEGENERATE_LOG = 1e-8
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the invariants a preparation stores stay fixed."""
+    a.setflags(write=False)
+    return a
 
 
 def _check_qubit_density(rho, what: str) -> np.ndarray:
@@ -98,17 +108,32 @@ class OperatorSandwich:
 
 @dataclass(frozen=True, eq=False)
 class FactorizeAndWait:
-    """Factorize at -t0, evolve with the waiting Hamiltonian, prepare at 0."""
+    """Factorize at -t0, evolve with the waiting Hamiltonian, prepare at 0.
+
+    Construction builds the waiting Hamiltonian h_wait = H(Fz_wait), the
+    reduced waiting propagator G (factorizing_propagator of h_wait, rho_B0
+    and t0) and its affine inverse G_inv once; it raises
+    NonInvertiblePropagatorError when G cannot be inverted.  A blow-up then
+    applies G_inv to the reduced state and re-runs the wait.
+    """
 
     model: ModelParams
     Fz_wait: float
     t0: float
     rho_B0: np.ndarray
+    h_wait: np.ndarray = field(init=False, repr=False)
+    G: ReducedAffineMap = field(init=False, repr=False)
+    G_inv: ReducedAffineMap = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.t0 > 0.0:
             raise ValueError(f"waiting time t0 must be positive, got {self.t0}")
         _check_qubit_density(self.rho_B0, "rho_B0")
+        h_wait = hamiltonian(self.model, self.Fz_wait)
+        g_map = factorizing_propagator(h_wait, self.rho_B0, self.t0)
+        object.__setattr__(self, "h_wait", _frozen(h_wait))
+        object.__setattr__(self, "G", g_map)
+        object.__setattr__(self, "G_inv", invert_propagator(g_map))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +143,21 @@ class MoriLinearResponse:
     observables are the system operators conjugate to the external fields.
     beta_f_max bounds |beta * F_i| of the inferred fields; beyond it the
     blow-up still evaluates but emits ExtrapolationWarning.
+
+    Construction computes the zero-field state rho0, its reduced state
+    rho0_S = Tr_env rho0, the Kubo operators kubo[j] of the observables and
+    the susceptibility chi once, with chi's symmetry and condition checks;
+    it raises NonInvertibleSusceptibilityError when chi cannot be inverted
+    (for instance for a repeated observable).
     """
 
     model: ModelParams
     observables: tuple
     beta_f_max: float = 0.2
+    rho0: np.ndarray = field(init=False, repr=False)
+    rho0_S: np.ndarray = field(init=False, repr=False)
+    kubo: tuple = field(init=False, repr=False)
+    chi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.observables) == 0:
@@ -135,6 +170,11 @@ class MoriLinearResponse:
                 raise ValidationError("observables must be Hermitian")
         if not self.beta_f_max > 0.0:
             raise ValueError(f"beta_f_max must be positive, got {self.beta_f_max}")
+        rho0, kubo, chi = _linear_response(self.model, list(self.observables))
+        object.__setattr__(self, "rho0", _frozen(rho0))
+        object.__setattr__(self, "rho0_S", _frozen(partial_trace(rho0, keep=0)))
+        object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
+        object.__setattr__(self, "chi", _frozen(chi))
 
 
 Preparation = Equilibrium | Factorizing | OperatorSandwich | FactorizeAndWait | MoriLinearResponse
@@ -306,31 +346,32 @@ def susceptibility(model: ModelParams, observables) -> np.ndarray:
     return _linear_response(model, list(observables))[2]
 
 
-def _mori_fields(model: ModelParams, observables, rho_S) -> tuple[np.ndarray, np.ndarray, list]:
-    """Field estimates for rho_S, with the rho0 and K_j they were computed from."""
+def _mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     rho_S = _check_qubit_density(rho_S, "reduced state")
-    observables = list(observables)
-    rho0, kubo, chi = _linear_response(model, observables)
-    shift = rho_S - partial_trace(rho0, keep=0)
-    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in observables])
-    return np.linalg.solve(chi, excess), rho0, kubo
+    shift = rho_S - prep.rho0_S
+    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in prep.observables])
+    return np.linalg.solve(prep.chi, excess)
 
 
-def mori_fields(model: ModelParams, observables, rho_S) -> np.ndarray:
-    """Field estimates F_i = sum_j chi^-1_ij <X_j - <X_j>_0> inferred from rho_S."""
-    return _mori_fields(model, observables, rho_S)[0]
+def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
+    """Field estimates F_i = sum_j chi^-1_ij <X_j - <X_j>_0> inferred from rho_S.
 
-
-def mori_blow_up(model: ModelParams, observables, rho_S) -> np.ndarray:
-    """Linear-response blow-up: rho0 + sum_i K_i F_i with F as in mori_fields.
-
-    rho0, K_i, chi and F are computed once per call.  Affine in rho_S by
-    construction.  For rho_S equal to the reduced zero-field state all field
-    estimates vanish and rho0 is returned exactly.
+    The excess <X_j - <X_j>_0> is tr(X_j (rho_S - Tr_env rho0)); rho0 and chi
+    are the ones prep computed at construction.
     """
-    fields, rho0, kubo = _mori_fields(model, observables, rho_S)
-    state = rho0.astype(complex)
-    for k, f in zip(kubo, fields):
+    return _mori_fields(prep, rho_S)
+
+
+def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
+    """Linear-response blow-up: rho0 + sum_i F_i K_i with F as in mori_fields.
+
+    rho0 and the Kubo operators K_i are the ones prep computed at
+    construction; per call only rho_S is validated and F solved for.  Affine
+    in rho_S by construction.  For rho_S equal to the reduced zero-field
+    state all field estimates vanish and rho0 is returned exactly.
+    """
+    state = prep.rho0.astype(complex)
+    for k, f in zip(prep.kubo, _mori_fields(prep, rho_S)):
         state = state + f * k
     return state
 
@@ -374,20 +415,18 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
         return state
 
     if isinstance(prep, FactorizeAndWait):
-        h_wait = hamiltonian(prep.model, prep.Fz_wait)
-        propagator = factorizing_propagator(h_wait, prep.rho_B0, prep.t0)
-        sigma0 = invert_propagator(propagator).apply(rho_S)
+        sigma0 = prep.G_inv.apply(rho_S)
         report = validate_density(sigma0)
         if not report.ok:
             raise PreparationDomainError(
                 "reduced state lies outside the range of the waiting propagator: "
                 f"pre-wait state has min eigenvalue {report.min_eigenvalue:.3e}"
             )
-        return evolve_total(kron(sigma0, prep.rho_B0), h_wait, prep.t0)
+        return evolve_total(kron(sigma0, prep.rho_B0), prep.h_wait, prep.t0)
 
     if isinstance(prep, MoriLinearResponse):
-        fields = mori_fields(prep.model, prep.observables, rho_S)
-        state = mori_blow_up(prep.model, prep.observables, rho_S)
+        fields = mori_fields(prep, rho_S)
+        state = mori_blow_up(prep, rho_S)
         gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
         if gap > TRACE_BACK_ATOL:
             raise PreparationDomainError(

@@ -280,11 +280,12 @@ def test_10_linear_response_consistency():
         sp.equilibrium_observables(model, step).S1z
         - sp.equilibrium_observables(model, -step).S1z
     ) / (2 * step)
+    prep = sp.MoriLinearResponse(model, (SZ,))
     residuals = {}
     for beta_f in (0.02, 0.01):
         rho_s = sp.partial_trace(sp.equilibrium_state(model, beta_f), keep=0)
         residuals[beta_f] = float(
-            np.linalg.norm(sp.mori_blow_up(model, [SZ], rho_s) - sp.equilibrium_state(model, beta_f))
+            np.linalg.norm(sp.mori_blow_up(prep, rho_s) - sp.equilibrium_state(model, beta_f))
         )
     ratio = residuals[0.02] / residuals[0.01]
     ok = abs(chi - fd) <= 1e-6 and 4.0 * 0.7 <= ratio <= 4.0 * 1.3

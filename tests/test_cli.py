@@ -112,6 +112,18 @@ class TestEvolve:
         residual = float(summary_value(err, "evolution_fit_factorizing_bg_1.5_value"))
         assert residual < 1e-11
 
+    def test_factorize_and_wait_fit_is_gated(self, capsys):
+        # affine by construction: the fit is held to 1e-10 times the scale
+        code, _, err = run(capsys, "evolve", "--prep", "factorize-and-wait")
+        assert code == 0
+        residual = float(summary_value(err, "evolution_fit_factorize-and-wait_bg_1.5_value"))
+        assert residual < 1e-10
+        code, _, err = run(
+            capsys, "evolve", "--prep", "factorize-and-wait", "--tolerance-scale", "1e-7"
+        )
+        assert code == 1
+        assert summary_value(err, "status") == "fail"
+
 
 class TestMoriCheckAndPechukas:
     def test_mori_check(self, capsys):
@@ -135,6 +147,21 @@ class TestConvexityAndLinearity:
         code, _, err = run(capsys, "convexity", "--beta-g", "0")
         assert code == 0
         assert summary_value(err, "convex_when_uncoupled") == "pass"
+
+    def test_non_converged_inversion_is_an_input_error(self, capsys):
+        # at large beta*e and beta*g the field inversion cannot meet its 1e-12
+        # check: a bad-input exit with no CSV, not a traceback
+        code, out, err = run(
+            capsys,
+            "sweep-linearity",
+            "--beta-e=30397",
+            "--beta-g=150,0",
+            "--s1z-max=0.63",
+            "--points=41",
+        )
+        assert code == 2
+        assert out == ""
+        assert "did not converge" in err
 
     def test_sweep_linearity_uncoupled_check(self, capsys):
         code, _, err = run(capsys, "sweep-linearity", "--beta-g", "0,1.5", "--points", "7")
@@ -179,6 +206,13 @@ class TestConfigHandling:
             ("sweep-linearity", "--tolerance-scale", "0"),
             ("sweep-linearity", "--tolerance-scale", "nan"),
             ("pechukas", "--fz-list", "4"),
+            ("evolve", "--time=nan"),
+            ("evolve", "--time", "inf"),
+            ("pechukas", "--fz-list=4,inf"),
+            ("affinity", "--samples", "1"),
+            ("convexity", "--lambdas="),
+            ("convexity", "--f-steps", "0"),
+            ("sweep-linearity", "--beta-g="),
         ],
         ids=[
             "beta-g-not-a-number",
@@ -189,6 +223,13 @@ class TestConfigHandling:
             "tolerance-scale-zero",
             "tolerance-scale-nan",
             "fz-list-single-field",
+            "time-nan",
+            "time-inf",
+            "fz-list-inf",
+            "samples-one",
+            "lambdas-empty",
+            "f-steps-zero",
+            "beta-g-empty",
         ],
     )
     def test_malformed_flag_value(self, capsys, argv):

@@ -9,6 +9,7 @@ from spinprep import (
     MoriLinearResponse,
     NonInvertiblePropagatorError,
     ReducedAffineMap,
+    ValidationError,
     chebyshev_targets,
     evolve_total,
     factorizing_propagator,
@@ -196,6 +197,13 @@ class TestFitAffineMap:
         rho = random_density(rng, 2)
         with pytest.raises(InsufficientSpanError):
             fit_affine_map([(rho, rho)] * 6)
+
+    def test_non_finite_sample_rejected(self, rng):
+        # max(0.0, nan) is 0.0: without the check a NaN output reads as a perfect fit
+        pairs = [(rho, rho) for rho in (random_density(rng, 2) for _ in range(6))]
+        pairs[3] = (pairs[3][0], np.full((2, 2), np.nan))
+        with pytest.raises(ValidationError):
+            fit_affine_map(pairs)
 
     def test_axis_confined_exact_family(self):
         # inputs on the z-axis only: the fit is exact on that family even

@@ -323,24 +323,28 @@ class TestSusceptibility:
         with pytest.raises(NonInvertibleSusceptibilityError) as err:
             susceptibility(MODEL, [SZ, SZ])
         assert err.value.condition_number > 1e12
+        with pytest.raises(NonInvertibleSusceptibilityError):
+            MoriLinearResponse(MODEL, (SZ, SZ))  # chi is checked at construction
 
 
 class TestMori:
     def test_fixed_point(self):
         model = ModelParams(1.0, 1.0, 1.0)
+        prep = MoriLinearResponse(model, (SZ,))
         rho_s0 = partial_trace(equilibrium_state(model, 0.0), keep=0)
-        state = mori_blow_up(model, [SZ], rho_s0)
+        state = mori_blow_up(prep, rho_s0)
         assert_close(state, equilibrium_state(model, 0.0), 1e-14, "zero-field fixed point")
-        assert np.abs(mori_fields(model, [SZ], rho_s0)).max() < 1e-14
+        assert np.abs(mori_fields(prep, rho_s0)).max() < 1e-14
 
     def test_first_order_agreement_with_equilibrium(self):
         # || mori(rho_S^F) - rho^F || = O(F^2): halving the field drops the
         # residual by ~4
         model = ModelParams(1.0, 1.0, 1.0)
+        prep = MoriLinearResponse(model, (SZ,))
         residuals = {}
         for beta_f in (0.02, 0.01):
             rho_s = partial_trace(equilibrium_state(model, beta_f), keep=0)
-            state = mori_blow_up(model, [SZ], rho_s)
+            state = mori_blow_up(prep, rho_s)
             residuals[beta_f] = np.linalg.norm(state - equilibrium_state(model, beta_f))
         ratio = residuals[0.02] / residuals[0.01]
         assert 2.8 <= ratio <= 5.2
@@ -355,11 +359,11 @@ class TestMori:
             assert validate_density(total).ok
 
     def test_exactly_affine(self):
-        model = ModelParams(1.0, 1.0, 1.0)
+        prep = MoriLinearResponse(ModelParams(1.0, 1.0, 1.0), (SZ,))
         x, y = z_state(0.02), z_state(-0.015)
         lam = 0.3
-        mixed = mori_blow_up(model, [SZ], lam * x + (1 - lam) * y)
-        split = lam * mori_blow_up(model, [SZ], x) + (1 - lam) * mori_blow_up(model, [SZ], y)
+        mixed = mori_blow_up(prep, lam * x + (1 - lam) * y)
+        split = lam * mori_blow_up(prep, x) + (1 - lam) * mori_blow_up(prep, y)
         assert np.linalg.norm(mixed - split) < 1e-12
 
     def test_extrapolation_warning_outside_trust_region(self):
@@ -398,3 +402,30 @@ class TestFactorizeAndWait:
         prep = FactorizeAndWait(model, Fz_wait=0.3, t0=0.7, rho_B0=ID2 / 2)
         with pytest.raises(PreparationDomainError):
             blow_up(prep, z_state(0.999))
+
+
+class TestAffineInvariantsBuiltOnce:
+    def test_blow_ups_reuse_construction_invariants(self, monkeypatch):
+        # rho0, K_j and chi (Mori) and G, G^-1 (factorize-and-wait) depend only
+        # on the model: built when the preparation is, never per state
+        calls = []
+        for name in ("kubo_integral", "factorizing_propagator", "invert_propagator"):
+            original = getattr(spinprep.prepare, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(spinprep.prepare, name, counting)
+        model = ModelParams(1.0, 1.0, 1.0)
+        mori = MoriLinearResponse(model, (SZ,))
+        faw = FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
+        assert sorted(calls) == ["factorizing_propagator", "invert_propagator", "kubo_integral"]
+        calls.clear()
+        for s1z in np.linspace(-0.9, 0.9, 20):
+            blow_up(mori, z_state(0.03 * s1z))
+            blow_up(faw, faw.G.apply(z_state(s1z)))
+        assert calls == []
+        for stored in (mori.rho0, mori.rho0_S, mori.chi, *mori.kubo, faw.h_wait):
+            with pytest.raises(ValueError):
+                stored[0, 0] = 0.0  # shared by every later blow-up: read-only
