@@ -24,6 +24,7 @@ each run.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -60,9 +61,8 @@ from .prepare import (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+    # np.float64 is a float subclass and formats like one
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -159,7 +159,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     Every number and list entry must be finite, every list nonempty,
     fd_step and tolerance_scale positive, fz_list at least two fields long,
     samples at least 2 and f_steps at least 1, so that no run tests nothing;
-    a violation is a configuration error (exit 2).
+    no coupling may appear twice in beta_g (0 and -0 are the same coupling),
+    so every run-summary key is unique.  A violation is a configuration
+    error (exit 2).
     """
     schema = _SCHEMAS[args.subcommand]
     config = _read_config(args.config) if args.config else {}
@@ -184,6 +186,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{flag} needs at least one value")
         if not all(map(math.isfinite, numbers)):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if len(set(cfg["beta_g"])) < len(cfg["beta_g"]):
+        raise ValueError(f"beta-g lists a coupling more than once, got {cfg['beta_g']}")
     for key in ("fd_step", "tolerance_scale"):
         if key in cfg and not cfg[key] > 0.0:
             raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
@@ -197,7 +201,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -216,10 +220,12 @@ def _z_state(s1z: float):
 
 
 def _run_sweep_bloch(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
-    rows = figure_sweep(cfg["beta_e"], cfg["beta_g"], cfg["fz_min"], cfg["fz_max"], cfg["steps"])
+    steps = cfg["steps"]
+    rows = figure_sweep(cfg["beta_e"], cfg["beta_g"], cfg["fz_min"], cfg["fz_max"], steps)
     checks = []
-    for beta_g in cfg["beta_g"]:
-        s1z = np.array([r.S1z for r in rows if r.beta_g == beta_g])
+    for k, beta_g in enumerate(cfg["beta_g"]):
+        # figure_sweep returns one block of `steps` rows per coupling, in order
+        s1z = np.array([r.S1z for r in rows[k * steps : (k + 1) * steps]])
         monotone = bool(np.all(np.diff(s1z) > 0.0))
         checks.append(Check(f"s1z_monotone_bg_{_fmt(beta_g)}", monotone, float(np.diff(s1z).min()), 0.0))
     header = ["beta_g", "beta_Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz"]
@@ -447,7 +453,13 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing does not change it: every call gets a fresh Namespace whose
+    unset flags are None.
+    """
     parser = argparse.ArgumentParser(
         prog="spinprep",
         description="two-spin preparation classes, blow-up maps, and reduced-dynamics checks",

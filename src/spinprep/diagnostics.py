@@ -209,7 +209,7 @@ def figure_sweep(
     rows = []
     for beta_g in beta_g_values:
         model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
-        for fz in fields:
+        for fz in fields.tolist():
             p = equilibrium_observables(model, fz)
             rows.append(SweepRow(beta_g, p.beta_Fz, p.S1z, p.S2z, p.Cxx, p.Cyy, p.Czz))
     return rows

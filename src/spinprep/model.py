@@ -36,7 +36,7 @@ SIGMA2 = tuple(kron(ID2, s) for s in PAULIS)
 # Two-spin correlation operators: CORR[i][j] = sigma1_i sigma2_j.
 CORR = tuple(tuple(kron(a, b) for b in PAULIS) for a in PAULIS)
 
-# Switch F+/- and cosh ratios to exponent-scaled evaluation above this argument.
+# Switch the equilibrium closed form to exponent-scaled evaluation above this argument.
 _EXP_SCALED_CUTOFF = 350.0
 
 
@@ -121,6 +121,35 @@ def _sinhc(x: float) -> float:
     return math.sinh(x) / x
 
 
+def _decayed(a: float) -> float:
+    """(1 - exp(-2a))/a for a >= 0, with its a -> 0 limit 2."""
+    if a == 0.0:
+        return 2.0
+    return -math.expm1(-2.0 * a) / a
+
+
+def _equilibrium_kernel(x: float, y: float) -> tuple[float, float, float]:
+    """F+(x, y), F-(x, y) and (cosh(x) - cosh(y)) / (cosh(x) + cosh(y)) in one pass.
+
+    sinhc and cosh of both arguments are evaluated once and shared by the
+    three ratios.  Above _EXP_SCALED_CUTOFF each of them is multiplied by
+    2 exp(-max(|x|, |y|)), which leaves the ratios unchanged and keeps every
+    term within double range: exp(|a| - m) (1 - exp(-2|a|))/|a| stands for
+    the sinhc term and exp(|a| - m) (1 + exp(-2|a|)) for the cosh term.
+    """
+    ax, ay = abs(x), abs(y)
+    m = max(ax, ay)
+    if m <= _EXP_SCALED_CUTOFF:
+        sx, sy = _sinhc(x), _sinhc(y)
+        cx, cy = math.cosh(x), math.cosh(y)
+    else:
+        ex, ey = math.exp(ax - m), math.exp(ay - m)
+        sx, sy = ex * _decayed(ax), ey * _decayed(ay)
+        cx, cy = ex * (1.0 + math.exp(-2.0 * ax)), ey * (1.0 + math.exp(-2.0 * ay))
+    den = cx + cy
+    return (sx + sy) / den, (sx - sy) / den, (cx - cy) / den
+
+
 def aux_F(sign: int, x: float, y: float) -> float:
     """The auxiliary functions
 
@@ -128,39 +157,13 @@ def aux_F(sign: int, x: float, y: float) -> float:
 
     evaluated as (sinhc(x) +- sinhc(y)) / (cosh(x) + cosh(y)), which is finite
     and accurate also at zero arguments.  Satisfies F+-(x, y) = +-F+-(y, x)
-    and is even in each argument separately.  Arguments beyond exp range are
-    handled by factoring out the dominant exponential.
+    and is even in each argument separately.  One of the three outputs of the
+    closed form that equilibrium_observables evaluates, overflow-safe for any
+    arguments.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    ax, ay = abs(x), abs(y)
-    m = max(ax, ay)
-    if m <= _EXP_SCALED_CUTOFF:
-        return (_sinhc(x) + sign * _sinhc(y)) / (math.cosh(x) + math.cosh(y))
-
-    # (1 - exp(-2a))/a with its a -> 0 limit; paired with exp(a - m) below this
-    # reproduces 2 sinh(a) / (a exp(m)).
-    def decayed(a: float) -> float:
-        if a == 0.0:
-            return 2.0
-        return -math.expm1(-2.0 * a) / a
-
-    num = math.exp(ax - m) * decayed(ax) + sign * math.exp(ay - m) * decayed(ay)
-    den = math.exp(ax - m) * (1.0 + math.exp(-2.0 * ax)) + math.exp(ay - m) * (
-        1.0 + math.exp(-2.0 * ay)
-    )
-    return num / den
-
-
-def _cosh_ratio(x: float, y: float) -> float:
-    """(cosh(x) - cosh(y)) / (cosh(x) + cosh(y)), overflow-safe, even in x and y."""
-    ax, ay = abs(x), abs(y)
-    m = max(ax, ay)
-    if m <= _EXP_SCALED_CUTOFF:
-        return (math.cosh(x) - math.cosh(y)) / (math.cosh(x) + math.cosh(y))
-    tx = math.exp(ax - m) * (1.0 + math.exp(-2.0 * ax))
-    ty = math.exp(ay - m) * (1.0 + math.exp(-2.0 * ay))
-    return (tx - ty) / (tx + ty)
+    return _equilibrium_kernel(x, y)[0 if sign == 1 else 1]
 
 
 class EquilibriumCurvePoint(NamedTuple):
@@ -187,17 +190,18 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
 
     All other Bloch/correlation components of the equilibrium state vanish.
     """
-    vals = energies(p, Fz)
-    x = p.beta * vals[0]
-    y = p.beta * vals[2]
-    f_plus = aux_F(+1, x, y)
-    f_minus = aux_F(-1, x, y)
-    s1z = p.beta * (Fz * f_plus - p.e * f_minus)
-    s2z = p.beta * (Fz * f_minus - p.e * f_plus)
-    cxx = -p.beta * p.g * f_plus
-    cyy = p.beta * p.g * f_minus
-    czz = _cosh_ratio(x, y)
-    return EquilibriumCurvePoint(p.beta * Fz, s1z, s2z, cxx, cyy, czz)
+    beta, e, g = p.beta, p.e, p.g
+    x = beta * -math.hypot(Fz - e, g)
+    y = beta * -math.hypot(Fz + e, g)
+    f_plus, f_minus, czz = _equilibrium_kernel(x, y)
+    return EquilibriumCurvePoint(
+        beta * Fz,
+        beta * (Fz * f_plus - e * f_minus),
+        beta * (Fz * f_minus - e * f_plus),
+        -beta * g * f_plus,
+        beta * g * f_minus,
+        czz,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -346,33 +346,39 @@ def susceptibility(model: ModelParams, observables) -> np.ndarray:
     return _linear_response(model, list(observables))[2]
 
 
-def _mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
-    rho_S = _check_qubit_density(rho_S, "reduced state")
-    shift = rho_S - prep.rho0_S
-    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in prep.observables])
-    return np.linalg.solve(prep.chi, excess)
-
-
 def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     """Field estimates F_i = sum_j chi^-1_ij <X_j - <X_j>_0> inferred from rho_S.
 
     The excess <X_j - <X_j>_0> is tr(X_j (rho_S - Tr_env rho0)); rho0 and chi
     are the ones prep computed at construction.
     """
-    return _mori_fields(prep, rho_S)
+    rho_S = _check_qubit_density(rho_S, "reduced state")
+    shift = rho_S - prep.rho0_S
+    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in prep.observables])
+    return np.linalg.solve(prep.chi, excess)
 
 
 def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
-    """Linear-response blow-up: rho0 + sum_i F_i K_i with F as in mori_fields.
+    """Linear-response blow-up: rho0 + sum_i F_i K_i with F from mori_fields.
 
     rho0 and the Kubo operators K_i are the ones prep computed at
     construction; per call only rho_S is validated and F solved for.  Affine
     in rho_S by construction.  For rho_S equal to the reduced zero-field
-    state all field estimates vanish and rho0 is returned exactly.
+    state all field estimates vanish and rho0 is returned exactly.  Emits
+    ExtrapolationWarning when some |beta F_i| exceeds prep.beta_f_max.
     """
+    fields = mori_fields(prep, rho_S)
     state = prep.rho0.astype(complex)
-    for k, f in zip(prep.kubo, _mori_fields(prep, rho_S)):
+    for k, f in zip(prep.kubo, fields):
         state = state + f * k
+    beta_fields = prep.model.beta * np.abs(fields)
+    if beta_fields.max() > prep.beta_f_max:
+        warnings.warn(
+            f"inferred fields reach |beta F| = {beta_fields.max():.3f}, beyond the "
+            f"linear-response trust region {prep.beta_f_max}; result is an extrapolation",
+            ExtrapolationWarning,
+            stacklevel=2,
+        )
     return state
 
 
@@ -425,21 +431,12 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
         return evolve_total(kron(sigma0, prep.rho_B0), prep.h_wait, prep.t0)
 
     if isinstance(prep, MoriLinearResponse):
-        fields = mori_fields(prep, rho_S)
         state = mori_blow_up(prep, rho_S)
         gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
         if gap > TRACE_BACK_ATOL:
             raise PreparationDomainError(
                 "reduced state is not representable in the linear-response manifold "
                 f"spanned by the configured observables (trace-back gap {gap:.3e})"
-            )
-        beta_fields = prep.model.beta * np.abs(fields)
-        if beta_fields.max() > prep.beta_f_max:
-            warnings.warn(
-                f"inferred fields reach |beta F| = {beta_fields.max():.3f}, beyond the "
-                f"linear-response trust region {prep.beta_f_max}; result is an extrapolation",
-                ExtrapolationWarning,
-                stacklevel=2,
             )
         return state
 

@@ -239,6 +239,35 @@ class TestConfigHandling:
         assert out == ""
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-bloch", "--beta-g=1,1"),
+            ("sweep-bloch", "--beta-g=0,-0"),
+            ("sweep-linearity", "--beta-g=0,0.5,0"),
+            ("affinity", "--beta-g=1.5,1.50"),
+        ],
+        ids=["sweep-bloch-1-1", "sweep-bloch-0-minus-0", "sweep-linearity-0-0.5-0", "affinity-1.5-1.50"],
+    )
+    def test_repeated_coupling_rejected(self, capsys, argv):
+        # two rows blocks under one coupling would share their run-summary keys
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+
+    def test_reused_parser_keeps_no_flags(self, capsys):
+        # the parser is built once per process; a flag of one call must not
+        # become the default of the next
+        code, out, _ = run(capsys, "sweep-bloch", "--steps", "3")
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 3
+        code, out, _ = run(capsys, "sweep-bloch")
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 201
+        assert run(capsys, "evolve", "--prep", "mori")[0] == 0
+        code, _, err = run(capsys, "evolve")
+        assert code == 0
+        assert summary_value(err, "evolution_fit_equilibrium_bg_1.5") == "pass"
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["not-a-subcommand"])

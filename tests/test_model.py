@@ -216,6 +216,66 @@ class TestEquilibriumObservables:
             for value in p[1:]:
                 assert abs(value) <= 1.0 + 1e-10
 
+    # S1z, S2z, Cxx, Cyy, Czz as float.hex, signs of zeros included, recorded
+    # when F+, F- and Czz were evaluated separately: sharing sinhc and cosh
+    # between them must not move a bit
+    @pytest.mark.parametrize(
+        "beta, e, g, fz, expected",
+        [
+            pytest.param(
+                1.0, 1.0, 1.0, 0.7,
+                ("0x1.04e2cec7b3c32p-1", "-0x1.4a7fa3dd62185p-1", "-0x1.21f52a81ddb06p-1",
+                 "-0x1.cf5321ccc4a3cp-4", "-0x1.92678424ce4ccp-2"),
+                id="canonical",
+            ),
+            pytest.param(
+                1.0, 1.0, 1.5, math.sqrt(349.9**2 - 1.5**2) - 1.0,
+                ("0x1.fffecb3ee47c6p-1", "-0x1.85ee3eaf037d8p-1", "-0x1.192430d34dbc0p-8",
+                 "-0x1.ab8cfe6dea182p-9", "-0x1.85ef2914d52b2p-1"),
+                id="below-cutoff",
+            ),
+            pytest.param(
+                1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0,
+                ("0x1.fffecb993c89fp-1", "-0x1.85ee3f19ae707p-1", "-0x1.18fb0c1584dacp-8",
+                 "-0x1.ab4e863f61822p-9", "-0x1.85ef293b0626cp-1"),
+                id="above-cutoff",
+            ),
+            pytest.param(
+                2.0, 1.0, 1.5, 0.5 * math.sqrt(700.0**2 - 3.0**2) - 1.0,
+                ("0x1.fffecbc8207d3p-1", "-0x1.ed93b1154124cp-1", "-0x1.18e5c9765eae6p-8",
+                 "-0x1.0ebc537a32edcp-8", "-0x1.ed94da16896f3p-1"),
+                id="beta-E-700",
+            ),
+            pytest.param(
+                1.0, 1.0, 0.0, 1.0,
+                ("0x1.85efab514f395p-1", "-0x1.85efab514f395p-1", "-0x0.0p+0",
+                 "-0x0.0p+0", "-0x1.28f91f83379dep-1"),
+                id="g0-Fz-e",
+            ),
+            pytest.param(
+                1.0, 1.0, 0.0, -1.0,
+                ("-0x1.85efab514f395p-1", "-0x1.85efab514f395p-1", "-0x0.0p+0",
+                 "0x0.0p+0", "0x1.28f91f83379dep-1"),
+                id="g0-Fz-minus-e",
+            ),
+            pytest.param(
+                1.0, 0.0, 0.0, 0.0,
+                ("0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+                id="zero",
+            ),
+            pytest.param(
+                1.0, 3e-5, 2e-5, -1e-5,
+                ("-0x1.4f8b588d465dfp-17", "-0x1.f75104d1a916ep-16", "-0x1.4f8b588b96057p-16",
+                 "0x1.203afb7b2e70bp-49", "0x1.49da7ffc204d9p-32"),
+                id="sinhc-series",
+            ),
+        ],
+    )
+    def test_bit_identical_to_three_pass_evaluation(self, beta, e, g, fz, expected):
+        p = equilibrium_observables(ModelParams(beta, e, g), fz)
+        assert tuple(float(v).hex() for v in p[1:]) == expected
+        assert p.beta_Fz == beta * fz
+
 
 class TestBloch:
     def test_maximally_mixed(self):

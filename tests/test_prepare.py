@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spinprep.linalg
 import spinprep.prepare
 from spinprep import (
     Equilibrium,
@@ -377,6 +378,29 @@ class TestMori:
         prep = MoriLinearResponse(model, (SZ,))
         with pytest.raises(PreparationDomainError):
             blow_up(prep, reduced_from_bloch(np.array([0.02, 0.0, 0.0])))
+
+    def test_blow_up_validates_the_state_twice(self, monkeypatch):
+        # blow_up checks rho_S once and mori_fields once (reached through
+        # mori_blow_up); the trust-region warning fires from mori_blow_up
+        prep = MoriLinearResponse(ModelParams(1.0, 1.0, 1.0), (SZ,))
+        calls = []
+        original = spinprep.linalg.validate_density
+
+        def counting(rho):
+            calls.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(spinprep.linalg, "validate_density", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            blow_up(prep, z_state(0.03))
+        assert len(calls) == 2
+        calls.clear()
+        with pytest.warns(ExtrapolationWarning):
+            blow_up(prep, z_state(0.5))
+        assert len(calls) == 2
+        with pytest.warns(ExtrapolationWarning):
+            mori_blow_up(prep, z_state(0.5))
 
 
 class TestFactorizeAndWait:
