@@ -157,11 +157,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
     Every number and list entry must be finite, every list nonempty,
-    fd_step and tolerance_scale positive, fz_list at least two fields long,
-    samples at least 2 and f_steps at least 1, so that no run tests nothing;
-    no coupling may appear twice in beta_g (0 and -0 are the same coupling),
-    so every run-summary key is unique.  A violation is a configuration
-    error (exit 2).
+    fd_step and tolerance_scale positive, fz_min below fz_max, s1z_max
+    inside (0, 1), fz_list at least two fields long, samples at least 2 and
+    f_steps at least 1, so that no run tests nothing; no coupling may appear
+    twice in beta_g (0 and -0 are the same coupling), so every run-summary
+    key is unique.  A violation is a configuration error (exit 2).
     """
     schema = _SCHEMAS[args.subcommand]
     config = _read_config(args.config) if args.config else {}
@@ -191,6 +191,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in ("fd_step", "tolerance_scale"):
         if key in cfg and not cfg[key] > 0.0:
             raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
+    if "fz_min" in cfg and not cfg["fz_min"] < cfg["fz_max"]:
+        raise ValueError(f"fz-min must be below fz-max, got {cfg['fz_min']} and {cfg['fz_max']}")
+    if "s1z_max" in cfg and not 0.0 < cfg["s1z_max"] < 1.0:
+        raise ValueError(f"s1z-max must lie strictly between 0 and 1, got {cfg['s1z_max']}")
     if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
         raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
     for key, least in (("samples", 2), ("f_steps", 1)):

@@ -36,10 +36,6 @@ SIGMA2 = tuple(kron(ID2, s) for s in PAULIS)
 # Two-spin correlation operators: CORR[i][j] = sigma1_i sigma2_j.
 CORR = tuple(tuple(kron(a, b) for b in PAULIS) for a in PAULIS)
 
-# Switch the equilibrium closed form to exponent-scaled evaluation above this argument.
-_EXP_SCALED_CUTOFF = 350.0
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Inverse temperature and the two couplings of the Hamiltonian.
@@ -121,33 +117,34 @@ def _sinhc(x: float) -> float:
     return math.sinh(x) / x
 
 
-def _decayed(a: float) -> float:
-    """(1 - exp(-2a))/a for a >= 0, with its a -> 0 limit 2."""
-    if a == 0.0:
-        return 2.0
-    return -math.expm1(-2.0 * a) / a
+def _sech_product(s: float, d: float) -> float:
+    """sech(s) sech(d) from exp(-|s|) and exp(-|d|): it underflows, never overflows."""
+    es, ed = math.exp(-abs(s)), math.exp(-abs(d))
+    return 4.0 * es * ed / ((1.0 + es * es) * (1.0 + ed * ed))
 
 
-def _equilibrium_kernel(x: float, y: float) -> tuple[float, float, float]:
+def _equilibrium_kernel(x: float, y: float, d: float) -> tuple[float, float, float]:
     """F+(x, y), F-(x, y) and (cosh(x) - cosh(y)) / (cosh(x) + cosh(y)) in one pass.
 
-    sinhc and cosh of both arguments are evaluated once and shared by the
-    three ratios.  Above _EXP_SCALED_CUTOFF each of them is multiplied by
-    2 exp(-max(|x|, |y|)), which leaves the ratios unchanged and keeps every
-    term within double range: exp(|a| - m) (1 - exp(-2|a|))/|a| stands for
-    the sinhc term and exp(|a| - m) (1 + exp(-2|a|)) for the cosh term.
+    d is the half-difference (x - y)/2, passed in so that a caller can form
+    it without cancellation; s = (x + y)/2 is the half-sum.  With
+    cosh(x) + cosh(y) = 2 cosh(s) cosh(d) and sinh(x) = sinh(s) cosh(d) +
+    cosh(s) sinh(d), exactly
+
+        Czz = tanh(s) tanh(d),   F+- = (A(x) +- A(y)) / 2,
+        A(x) = (tanh(s) + tanh(d)) / x,   A(y) = (tanh(s) - tanh(d)) / y.
+
+    Where |x| < 1 the quotient would cancel, and A(x) = sinhc(x) sech(s)
+    sech(d) is used instead (likewise for y).  tanh and sech are bounded and
+    sinhc is taken only below 1, so nothing overflows for any input.
     """
-    ax, ay = abs(x), abs(y)
-    m = max(ax, ay)
-    if m <= _EXP_SCALED_CUTOFF:
-        sx, sy = _sinhc(x), _sinhc(y)
-        cx, cy = math.cosh(x), math.cosh(y)
-    else:
-        ex, ey = math.exp(ax - m), math.exp(ay - m)
-        sx, sy = ex * _decayed(ax), ey * _decayed(ay)
-        cx, cy = ex * (1.0 + math.exp(-2.0 * ax)), ey * (1.0 + math.exp(-2.0 * ay))
-    den = cx + cy
-    return (sx + sy) / den, (sx - sy) / den, (cx - cy) / den
+    s = 0.5 * (x + y)
+    ts, td = math.tanh(s), math.tanh(d)
+    small_x, small_y = abs(x) < 1.0, abs(y) < 1.0
+    sech_sd = _sech_product(s, d) if small_x or small_y else 0.0
+    a_x = _sinhc(x) * sech_sd if small_x else (ts + td) / x
+    a_y = _sinhc(y) * sech_sd if small_y else (ts - td) / y
+    return 0.5 * (a_x + a_y), 0.5 * (a_x - a_y), ts * td
 
 
 def aux_F(sign: int, x: float, y: float) -> float:
@@ -155,15 +152,15 @@ def aux_F(sign: int, x: float, y: float) -> float:
 
         F+-(x, y) = (y sinh(x) +- x sinh(y)) / (x y (cosh(x) + cosh(y))),
 
-    evaluated as (sinhc(x) +- sinhc(y)) / (cosh(x) + cosh(y)), which is finite
-    and accurate also at zero arguments.  Satisfies F+-(x, y) = +-F+-(y, x)
-    and is even in each argument separately.  One of the three outputs of the
-    closed form that equilibrium_observables evaluates, overflow-safe for any
-    arguments.
+    which are finite and accurate also at zero arguments.  Satisfies
+    F+-(x, y) = +-F+-(y, x) and is even in each argument separately.  One of
+    the three outputs of the closed form that equilibrium_observables
+    evaluates, here with the half-difference d = (x - y)/2 formed directly;
+    overflow-safe for any arguments.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _equilibrium_kernel(x, y)[0 if sign == 1 else 1]
+    return _equilibrium_kernel(x, y, 0.5 * (x - y))[0 if sign == 1 else 1]
 
 
 class EquilibriumCurvePoint(NamedTuple):
@@ -188,12 +185,18 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
         Cyy =  beta g F-(x, y)
         Czz = (cosh(x) - cosh(y)) / (cosh(x) + cosh(y))
 
-    All other Bloch/correlation components of the equilibrium state vanish.
+    The half-difference (x - y)/2 = beta (|E3| - |E1|)/2 is formed as
+    beta Fz 2e / (|E1| + |E3|), since |E3|^2 - |E1|^2 = 4 Fz e: no two
+    rounded energies are subtracted, and S1z moves smoothly with the field
+    even where beta |e| is large.  All other Bloch/correlation components of
+    the equilibrium state vanish.
     """
     beta, e, g = p.beta, p.e, p.g
-    x = beta * -math.hypot(Fz - e, g)
-    y = beta * -math.hypot(Fz + e, g)
-    f_plus, f_minus, czz = _equilibrium_kernel(x, y)
+    r_minus = math.hypot(Fz - e, g)
+    r_plus = math.hypot(Fz + e, g)
+    r_sum = r_minus + r_plus  # >= 2|e|, and 0 only at e = g = Fz = 0
+    d = beta * Fz * (2.0 * e / r_sum) if r_sum else 0.0
+    f_plus, f_minus, czz = _equilibrium_kernel(-beta * r_minus, -beta * r_plus, d)
     return EquilibriumCurvePoint(
         beta * Fz,
         beta * (Fz * f_plus - e * f_minus),

@@ -170,7 +170,20 @@ class MoriLinearResponse:
                 raise ValidationError("observables must be Hermitian")
         if not self.beta_f_max > 0.0:
             raise ValueError(f"beta_f_max must be positive, got {self.beta_f_max}")
-        rho0, kubo, chi = _linear_response(self.model, list(self.observables))
+        rho0 = equilibrium_state(self.model, 0.0)
+        total_obs = [embed_system(x) for x in self.observables]
+        kubo = [kubo_integral(rho0, x, beta=self.model.beta) for x in total_obs]
+        # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
+        chi = np.array([[float(np.trace(xi @ kj).real) for kj in kubo] for xi in total_obs])
+        sym_defect = float(np.abs(chi - chi.T).max())
+        if sym_defect > 1e-10 * (1.0 + float(np.abs(chi).max())):
+            raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
+        chi = 0.5 * (chi + chi.T)
+        cond = float(np.linalg.cond(chi))
+        if not math.isfinite(cond) or cond > _CHI_MAX_COND:
+            raise NonInvertibleSusceptibilityError(
+                f"susceptibility matrix is not invertible (condition number {cond:.3e})", cond
+            )
         object.__setattr__(self, "rho0", _frozen(rho0))
         object.__setattr__(self, "rho0_S", _frozen(partial_trace(rho0, keep=0)))
         object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
@@ -314,36 +327,16 @@ def kubo_integral(rho0, X, beta: float = 1.0) -> np.ndarray:
     return beta * (v @ (dx_eig * kernel) @ dag(v))
 
 
-def _linear_response(model: ModelParams, observables: list) -> tuple[np.ndarray, list, np.ndarray]:
-    """Zero-field state rho0, the Kubo operators K_j and chi, with chi's checks."""
-    if not observables:
-        raise ValueError("susceptibility requires at least one observable")
-    rho0 = equilibrium_state(model, 0.0)
-    total_obs = [embed_system(x) for x in observables]
-    kubo = [kubo_integral(rho0, x, beta=model.beta) for x in total_obs]
-    # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
-    chi = np.array([[float(np.trace(xi @ kj).real) for kj in kubo] for xi in total_obs])
-    sym_defect = float(np.abs(chi - chi.T).max())
-    if sym_defect > 1e-10 * (1.0 + float(np.abs(chi).max())):
-        raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
-    chi = 0.5 * (chi + chi.T)
-    cond = float(np.linalg.cond(chi))
-    if not math.isfinite(cond) or cond > _CHI_MAX_COND:
-        raise NonInvertibleSusceptibilityError(
-            f"susceptibility matrix is not invertible (condition number {cond:.3e})", cond
-        )
-    return rho0, kubo, chi
-
-
 def susceptibility(model: ModelParams, observables) -> np.ndarray:
     """Response matrix chi_ij = tr(dX_i * K_j) with K_j the Kubo integral of X_j.
 
     Everything is evaluated in the closed-form zero-field equilibrium state.
     chi is real symmetric, and positive definite whenever the observables are
     linearly independent and none is conserved; a condition number above 1e12
-    (or a non-finite one) raises NonInvertibleSusceptibilityError.
+    (or a non-finite one) raises NonInvertibleSusceptibilityError.  It is
+    the chi that MoriLinearResponse(model, observables) computes.
     """
-    return _linear_response(model, list(observables))[2]
+    return MoriLinearResponse(model, tuple(observables)).chi
 
 
 def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import spinprep.prepare
+from spinprep import equilibrium_observables
 from spinprep.cli import main
 
 
@@ -148,9 +152,21 @@ class TestConvexityAndLinearity:
         assert code == 0
         assert summary_value(err, "convex_when_uncoupled") == "pass"
 
-    def test_non_converged_inversion_is_an_input_error(self, capsys):
-        # at large beta*e and beta*g the field inversion cannot meet its 1e-12
-        # check: a bad-input exit with no CSV, not a traceback
+    def test_non_converged_inversion_is_an_input_error(self, capsys, monkeypatch):
+        # a field inversion that cannot meet its 1e-12 check is a bad-input
+        # exit with no CSV, not a traceback: S1z stepping from 0 straight to
+        # +-0.99 at Fz = 0 passes every target of the grid without a root
+        def step(model, fz):
+            return equilibrium_observables(model, fz)._replace(S1z=math.copysign(0.99, fz))
+
+        monkeypatch.setattr(spinprep.prepare, "equilibrium_observables", step)
+        code, out, err = run(capsys, "sweep-linearity", "--beta-g=1.5", "--points=5")
+        assert code == 2
+        assert out == ""
+        assert "did not converge" in err
+
+    def test_large_beta_e_inversions_converge(self, capsys):
+        # beta e = 30397: S1z steps smoothly between adjacent fields
         code, out, err = run(
             capsys,
             "sweep-linearity",
@@ -159,9 +175,11 @@ class TestConvexityAndLinearity:
             "--s1z-max=0.63",
             "--points=41",
         )
-        assert code == 2
-        assert out == ""
-        assert "did not converge" in err
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "beta_g,S1z,S2z,Cxx,Cyy,Czz"
+        assert len(lines) == 1 + 2 * 41
+        assert summary_value(err, "status") == "pass"
 
     def test_sweep_linearity_uncoupled_check(self, capsys):
         code, _, err = run(capsys, "sweep-linearity", "--beta-g", "0,1.5", "--points", "7")
@@ -213,6 +231,11 @@ class TestConfigHandling:
             ("convexity", "--lambdas="),
             ("convexity", "--f-steps", "0"),
             ("sweep-linearity", "--beta-g="),
+            ("sweep-bloch", "--fz-min=2", "--fz-max=-2"),
+            ("sweep-bloch", "--fz-min=1", "--fz-max=1"),
+            ("sweep-linearity", "--s1z-max=0"),
+            ("sweep-linearity", "--s1z-max=1"),
+            ("affinity", "--s1z-max=-0.5"),
         ],
         ids=[
             "beta-g-not-a-number",
@@ -230,6 +253,11 @@ class TestConfigHandling:
             "lambdas-empty",
             "f-steps-zero",
             "beta-g-empty",
+            "fz-range-reversed",
+            "fz-range-empty",
+            "s1z-max-zero",
+            "s1z-max-one",
+            "s1z-max-negative",
         ],
     )
     def test_malformed_flag_value(self, capsys, argv):

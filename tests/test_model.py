@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,6 +26,89 @@ from spinprep import (
 from spinprep.model import ID2, SZ
 
 from conftest import assert_close, random_density
+
+# (beta, e, g, Fz) of the points whose closed-form bits are pinned in KERNEL_BITS
+KERNEL_POINTS = {
+    "canonical": (1.0, 1.0, 1.0, 0.7),
+    "below-cutoff": (1.0, 1.0, 1.5, math.sqrt(349.9**2 - 1.5**2) - 1.0),
+    "above-cutoff": (1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0),
+    "beta-E-700": (2.0, 1.0, 1.5, 0.5 * math.sqrt(700.0**2 - 3.0**2) - 1.0),
+    "g0-Fz-e": (1.0, 1.0, 0.0, 1.0),
+    "g0-Fz-minus-e": (1.0, 1.0, 0.0, -1.0),
+    "zero": (1.0, 0.0, 0.0, 0.0),
+    "sinhc-series": (1.0, 3e-5, 2e-5, -1e-5),
+}
+
+# S1z, S2z, Cxx, Cyy, Czz as float.hex, signs of zeros included, recorded
+# from the half-sum/half-difference kernel: a rewrite that moves a bit must
+# say so.  The points cover |beta E3| = 349.9, 350.1 and 700 (large
+# exponents), g = 0 with Fz = +-e (one energy exactly zero), the all-zero
+# model and the sinhc series.
+KERNEL_BITS = {
+    "canonical": (
+        "0x1.04e2cec7b3c32p-1", "-0x1.4a7fa3dd62184p-1", "-0x1.21f52a81ddb06p-1",
+        "-0x1.cf5321ccc4a38p-4", "-0x1.92678424ce4ccp-2",
+    ),
+    "below-cutoff": (
+        "0x1.fffecb3ee47c6p-1", "-0x1.85ee3eaf037a7p-1", "-0x1.192430d34dbc0p-8",
+        "-0x1.ab8cfe6dea14cp-9", "-0x1.85ef2914d5282p-1",
+    ),
+    "above-cutoff": (
+        "0x1.fffecb993c89fp-1", "-0x1.85ee3f19ae748p-1", "-0x1.18fb0c1584dacp-8",
+        "-0x1.ab4e863f61869p-9", "-0x1.85ef293b062acp-1",
+    ),
+    "beta-E-700": (
+        "0x1.fffecbc8207d3p-1", "-0x1.ed93b11541250p-1", "-0x1.18e5c9765eae6p-8",
+        "-0x1.0ebc537a32edep-8", "-0x1.ed94da16896f8p-1",
+    ),
+    "g0-Fz-e": (
+        "0x1.85efab514f394p-1", "-0x1.85efab514f394p-1", "-0x0.0p+0",
+        "-0x0.0p+0", "-0x1.28f91f83379ddp-1",
+    ),
+    "g0-Fz-minus-e": (
+        "-0x1.85efab514f394p-1", "-0x1.85efab514f394p-1", "-0x0.0p+0",
+        "0x0.0p+0", "0x1.28f91f83379ddp-1",
+    ),
+    "zero": (
+        "0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
+        "0x0.0p+0", "-0x0.0p+0",
+    ),
+    "sinhc-series": (
+        "-0x1.4f8b588d465e0p-17", "-0x1.f75104d1a916fp-16", "-0x1.4f8b588b96058p-16",
+        "0x1.203afb7e90ffap-49", "0x1.49da7e3387c32p-32",
+    ),
+}
+
+_REFERENCE_CONTEXT = decimal.Context(prec=60, Emax=10**8, Emin=-(10**8))
+
+
+def _decimal_reference(beta, e, g, fz):
+    """S1z, S2z, Cxx, Cyy, Czz to 60 digits from the textbook closed form.
+
+    The float inputs are converted exactly; sinh and cosh are built from
+    Decimal.exp, whose exponent range holds exp(2e5) and more.
+    """
+    with decimal.localcontext(_REFERENCE_CONTEXT):
+        beta, e, g, fz = (Decimal(v) for v in (beta, e, g, fz))
+        x = -beta * ((fz - e) ** 2 + g**2).sqrt()
+        y = -beta * ((fz + e) ** 2 + g**2).sqrt()
+
+        def cosh(a):
+            return (a.exp() + (-a).exp()) / 2
+
+        def sinhc(a):
+            return Decimal(1) if a == 0 else (a.exp() - (-a).exp()) / (2 * a)
+
+        den = cosh(x) + cosh(y)
+        f_plus = (sinhc(x) + sinhc(y)) / den
+        f_minus = (sinhc(x) - sinhc(y)) / den
+        return (
+            beta * (fz * f_plus - e * f_minus),
+            beta * (fz * f_minus - e * f_plus),
+            -beta * g * f_plus,
+            beta * g * f_minus,
+            (cosh(x) - cosh(y)) / den,
+        )
 
 
 class TestHamiltonian:
@@ -138,8 +223,8 @@ class TestAuxF:
         assert abs(aux_F(+1, 0.0, 2.0) - expected) < 1e-14
 
     def test_scaled_evaluation_matches_direct(self):
-        # 400 is above the scaled-path cutoff but still inside double range,
-        # so the naive formula is computable and must agree
+        # at 400 tanh of the half-sum and half-difference both round to 1,
+        # but the naive formula is still inside double range and must agree
         x, y = 400.0, 2.0
         direct = (math.sinh(x) / x + math.sinh(y) / y) / (math.cosh(x) + math.cosh(y))
         assert abs(aux_F(+1, x, y) - direct) < 1e-15
@@ -216,65 +301,33 @@ class TestEquilibriumObservables:
             for value in p[1:]:
                 assert abs(value) <= 1.0 + 1e-10
 
-    # S1z, S2z, Cxx, Cyy, Czz as float.hex, signs of zeros included, recorded
-    # when F+, F- and Czz were evaluated separately: sharing sinhc and cosh
-    # between them must not move a bit
+    @pytest.mark.parametrize("point", KERNEL_POINTS)
+    def test_bit_identical_to_three_pass_evaluation(self, point):
+        beta, e, g, fz = KERNEL_POINTS[point]
+        p = equilibrium_observables(ModelParams(beta, e, g), fz)
+        assert tuple(float(v).hex() for v in p[1:]) == KERNEL_BITS[point]
+        assert p.beta_Fz == beta * fz
+
     @pytest.mark.parametrize(
-        "beta, e, g, fz, expected",
+        "beta, e, g, fz",
         [
-            pytest.param(
-                1.0, 1.0, 1.0, 0.7,
-                ("0x1.04e2cec7b3c32p-1", "-0x1.4a7fa3dd62185p-1", "-0x1.21f52a81ddb06p-1",
-                 "-0x1.cf5321ccc4a3cp-4", "-0x1.92678424ce4ccp-2"),
-                id="canonical",
-            ),
-            pytest.param(
-                1.0, 1.0, 1.5, math.sqrt(349.9**2 - 1.5**2) - 1.0,
-                ("0x1.fffecb3ee47c6p-1", "-0x1.85ee3eaf037d8p-1", "-0x1.192430d34dbc0p-8",
-                 "-0x1.ab8cfe6dea182p-9", "-0x1.85ef2914d52b2p-1"),
-                id="below-cutoff",
-            ),
-            pytest.param(
-                1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0,
-                ("0x1.fffecb993c89fp-1", "-0x1.85ee3f19ae707p-1", "-0x1.18fb0c1584dacp-8",
-                 "-0x1.ab4e863f61822p-9", "-0x1.85ef293b0626cp-1"),
-                id="above-cutoff",
-            ),
-            pytest.param(
-                2.0, 1.0, 1.5, 0.5 * math.sqrt(700.0**2 - 3.0**2) - 1.0,
-                ("0x1.fffecbc8207d3p-1", "-0x1.ed93b1154124cp-1", "-0x1.18e5c9765eae6p-8",
-                 "-0x1.0ebc537a32edcp-8", "-0x1.ed94da16896f3p-1"),
-                id="beta-E-700",
-            ),
-            pytest.param(
-                1.0, 1.0, 0.0, 1.0,
-                ("0x1.85efab514f395p-1", "-0x1.85efab514f395p-1", "-0x0.0p+0",
-                 "-0x0.0p+0", "-0x1.28f91f83379dep-1"),
-                id="g0-Fz-e",
-            ),
-            pytest.param(
-                1.0, 1.0, 0.0, -1.0,
-                ("-0x1.85efab514f395p-1", "-0x1.85efab514f395p-1", "-0x0.0p+0",
-                 "0x0.0p+0", "0x1.28f91f83379dep-1"),
-                id="g0-Fz-minus-e",
-            ),
-            pytest.param(
-                1.0, 0.0, 0.0, 0.0,
-                ("0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-                id="zero",
-            ),
-            pytest.param(
-                1.0, 3e-5, 2e-5, -1e-5,
-                ("-0x1.4f8b588d465dfp-17", "-0x1.f75104d1a916ep-16", "-0x1.4f8b588b96057p-16",
-                 "0x1.203afb7b2e70bp-49", "0x1.49da7ffc204d9p-32"),
-                id="sinhc-series",
-            ),
+            *(pytest.param(*args, id=name) for name, args in KERNEL_POINTS.items()),
+            # g >> e makes x and y nearly equal: a difference of the two
+            # rounded energies would cost Cxx and Cyy most of their digits
+            pytest.param(1407.6, 0.09687, 35.52, -0.09687, id="g-much-larger-than-e"),
+            # near S1z = -0.6289, where the field inversion used to fail
+            pytest.param(1797.6, 16.91, 0.0834, -4.1144635817544806e-4, id="large-beta-e"),
+            # beta e = 1e5, g = 0: |x| < 1 while |s| ~ 1e5, so sech underflows
+            pytest.param(100.0, 1000.0, 0.0, 1000.0, id="beta-e-1e5-Fz-e"),
+            pytest.param(100.0, 1000.0, 0.0, -1000.0, id="beta-e-1e5-Fz-minus-e"),
+            pytest.param(100.0, 1000.0, 0.0, 1000.001, id="beta-e-1e5-small-x"),
         ],
     )
-    def test_bit_identical_to_three_pass_evaluation(self, beta, e, g, fz, expected):
+    def test_matches_60_digit_reference(self, beta, e, g, fz):
         p = equilibrium_observables(ModelParams(beta, e, g), fz)
-        assert tuple(float(v).hex() for v in p[1:]) == expected
-        assert p.beta_Fz == beta * fz
+        reference = _decimal_reference(beta, e, g, fz)
+        gaps = [abs(float(Decimal(v) - r)) for v, r in zip(p[1:], reference)]
+        assert max(gaps) <= 1e-15, dict(zip(p._fields[1:], gaps))
 
 
 class TestBloch:

@@ -81,7 +81,7 @@ class TestEquilibriumState:
         [
             (1.0, 1.0, 1.0, 0.0),  # the canonical point
             (1.0, 1.0, 1.5, math.sqrt(349.9**2 - 1.5**2) - 1.0),  # |beta E3| just below 350
-            (1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0),  # just above: exponent-scaled
+            (1.0, 1.0, 1.5, math.sqrt(350.1**2 - 1.5**2) - 1.0),  # just above
             (2.0, 1.0, 1.5, 0.5 * math.sqrt(700.0**2 - 3.0**2) - 1.0),  # |beta E3| = 700
             (1.0, 1.0, 0.0, 1.0),  # g = 0, Fz = e: E1 = E2 = 0
             (1.0, 1.0, 0.0, -1.0),  # g = 0, Fz = -e: E3 = E4 = 0
@@ -148,6 +148,19 @@ class TestInvertField:
         field = invert_field(MODEL, 0.9999)
         assert field > 50.0
         assert abs(equilibrium_observables(MODEL, field).S1z - 0.9999) <= 1e-12
+
+    def test_converges_across_large_beta_e_models(self):
+        # beta e up to 9e4 with |g| < 0.3: S1z must move smoothly enough
+        # between adjacent fields for the 1e-12 check to be met everywhere
+        rng = np.random.default_rng(20261018)
+        cases = [(ModelParams(1797.6, 16.91, 0.0834), [-0.6289])]
+        for _ in range(100):
+            beta, e, g = rng.uniform(100.0, 3000.0), rng.uniform(5.0, 30.0), rng.uniform(-0.3, 0.3)
+            cases.append((ModelParams(beta, e, g), rng.uniform(-0.99, 0.99, 5)))
+        for model, targets in cases:
+            for target in targets:
+                field = invert_field(model, float(target))
+                assert abs(equilibrium_observables(model, field).S1z - target) <= 1e-12, model
 
     def test_unreachable_targets(self):
         for target in (1.0, -1.0, 1.2):
