@@ -46,7 +46,6 @@ from .linalg import (
     DensityReport,
     SpectralData,
     dag,
-    fractional_power,
     herm_eig,
     kron,
     matrix_function,

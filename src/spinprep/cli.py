@@ -14,8 +14,9 @@ Shared flags: --beta-e, --beta-g (comma list), --out PATH (default stdout),
 (multiplies every pass/fail tolerance).
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
-configuration error, an input outside a preparation's domain, or a solver
-that did not converge (then no CSV is written).  Results go to --out as CSV
+configuration error, an --out that cannot be written, an input outside a
+preparation's domain, or a solver that did not converge (then no CSV is
+written).  Results go to --out as CSV
 (one header row, floats with 17 significant digits); a single
 machine-readable ``run-summary`` key=value line goes to stderr at the end of
 each run.
@@ -287,30 +288,32 @@ def _run_convexity(cfg: dict) -> tuple[list[str], list[tuple], list[Check]]:
 
 def _make_preparation(cfg: dict, model: ModelParams):
     kind = cfg["prep"]
-    rho_b = partial_trace(equilibrium_state(model, 0.0), keep=1)
     if kind == "equilibrium":
         return Equilibrium(model)
-    if kind == "factorizing":
-        return Factorizing(rho_b)
     if kind == "mori":
         return MoriLinearResponse(model, (SZ,))
+    # the product preparations start from the zero-field environment marginal
+    rho_b = partial_trace(equilibrium_state(model, 0.0), keep=1)
+    if kind == "factorizing":
+        return Factorizing(rho_b)
     if kind == "factorize-and-wait":
         return FactorizeAndWait(model, Fz_wait=0.0, t0=cfg["t0"], rho_B0=rho_b)
     raise ValueError(f"unknown preparation {kind!r}")
 
 
 def _affinity_samples(cfg: dict, prep) -> list[np.ndarray]:
-    if isinstance(prep, MoriLinearResponse):
+    kind = cfg["prep"]
+    if kind == "mori":
         targets = chebyshev_targets(cfg["samples"], -0.05, 0.05)
         return [_z_state(float(s)) for s in targets]
     targets = chebyshev_targets(cfg["samples"], -cfg["s1z_max"], cfg["s1z_max"])
-    if isinstance(prep, Factorizing):
+    if kind == "factorizing":
         # off-axis states are fine for the product preparation
         return [
             reduced_from_bloch(np.array([0.3 * np.sin(3.0 * s), 0.2 * np.cos(2.0 * s), float(s)]) * 0.9)
             for s in targets
         ]
-    if isinstance(prep, FactorizeAndWait):
+    if kind == "factorize-and-wait":
         return [prep.G.apply(_z_state(float(s))) for s in targets]
     return [_z_state(float(s)) for s in targets]
 
@@ -500,8 +503,9 @@ def main(argv=None) -> int:
     try:
         header, rows, checks = _RUNNERS[args.subcommand](cfg)
         _write_csv(args.out, header, rows)
-    except (DomainError, ValidationError, ValueError, RuntimeError) as err:
-        # RuntimeError: a solver that did not converge (invert_field); no result
+    except (DomainError, ValidationError, ValueError, RuntimeError, OSError) as err:
+        # RuntimeError: a solver that did not converge (invert_field); no result.
+        # OSError: --out cannot be written (a missing directory, a directory)
         print(f"spinprep: {err}", file=sys.stderr)
         return 2
 

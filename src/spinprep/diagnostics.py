@@ -164,14 +164,14 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
     return worst
 
 
-def factorization_residual(rho, dims: tuple[int, int] | None = None) -> float:
-    """Frobenius distance of a bipartite state from the product of its marginals.
+def factorization_residual(rho) -> float:
+    """Frobenius distance of a two-qubit (4x4) state from the product of its marginals.
 
     ||rho - Tr_env(rho) (x) Tr_sys(rho)||_F, zero iff rho factorizes.
     Invariant under local unitaries u (x) v.
     """
-    rho_s = partial_trace(rho, keep=0, dims=dims)
-    chi = partial_trace(rho, keep=1, dims=dims)
+    rho_s = partial_trace(rho, keep=0)
+    chi = partial_trace(rho, keep=1)
     return float(np.linalg.norm(np.asarray(rho, dtype=complex) - kron(rho_s, chi)))
 
 

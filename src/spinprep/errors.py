@@ -2,7 +2,7 @@
 
 
 class DimensionError(ValueError):
-    """Operator shape is wrong or subsystem dimensions are missing/inconsistent."""
+    """Operator shape is wrong (not square, not a qubit, not a two-qubit operator)."""
 
 
 class ValidationError(ValueError):
@@ -10,8 +10,7 @@ class ValidationError(ValueError):
 
 
 class DomainError(ValueError):
-    """A mathematical domain violation (negative eigenvalue under a fractional power,
-    Bloch vector outside the unit ball, ...)."""
+    """A mathematical domain violation (Bloch vector outside the unit ball, ...)."""
 
 
 class PreparationDomainError(DomainError):

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import as_operator, dag, kron, matrix_function, partial_trace, require_density
-from .model import ID2, PAULIS, qubit_bloch
+from .model import ID2, PAULIS, qubit_bloch, reduced_from_bloch_unchecked
 
 _PROPAGATOR_MAX_COND = 1e12
 
@@ -89,14 +89,6 @@ class ReducedAffineMap:
     @staticmethod
     def identity() -> "ReducedAffineMap":
         return ReducedAffineMap(np.eye(3), np.zeros(3))
-
-
-def reduced_from_bloch_unchecked(s: np.ndarray) -> np.ndarray:
-    """(1 + S.sigma)/2 without the |S| <= 1 check (maps may leave the ball)."""
-    rho = ID2.copy()
-    for i in range(3):
-        rho = rho + s[i] * PAULIS[i]
-    return 0.5 * rho
 
 
 def factorizing_propagator(H, rho_B0, t: float) -> ReducedAffineMap:

@@ -1,9 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Everything here operates on plain complex ``numpy`` arrays.  Operators are
-square matrices; bipartite structure (system x environment) is carried by an
-explicit ``dims`` argument where it matters, with the system factor always on
-the left of the Kronecker product.
+square matrices; the only bipartite layout is the two-qubit one (4x4), with
+the system factor always on the left of the Kronecker product.
 
 All functions are pure: inputs are never mutated.
 """
@@ -16,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, ValidationError
 
 # Structural tolerances, relative where it makes sense at 4x4 double precision.
 HERMITICITY_RTOL = 1e-12
@@ -43,10 +42,17 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - dag(a)).max())
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    a = as_operator(a)
-    scale = 1.0 + float(np.abs(a).max())
-    return hermiticity_defect(a) <= rtol * scale
+def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
+    """The Hermiticity defect of a and whether it is <= 1e-12 * (1 + max|a|).
+
+    A NaN entry makes the defect or the scale NaN, and the check fails.
+    """
+    defect = hermiticity_defect(a)
+    return defect, defect <= HERMITICITY_RTOL * (1.0 + float(np.abs(a).max()))
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    return _hermiticity(as_operator(a))[1]
 
 
 def kron(a, b) -> np.ndarray:
@@ -59,28 +65,18 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace(rho, keep: int = 0, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
+def partial_trace(rho, keep: int = 0) -> np.ndarray:
+    """Trace out one qubit of a two-qubit (4x4) operator.
 
-    keep=0 retains the left (system) factor, keep=1 the right (environment).
-    For 4x4 inputs ``dims`` defaults to (2, 2); any other size requires the
-    subsystem dimensions explicitly.
+    keep=0 retains the left (system) qubit, keep=1 the right (environment);
+    any other shape raises DimensionError.
     """
     rho = as_operator(rho)
-    n = rho.shape[0]
-    if dims is None:
-        if n == 4:
-            dims = (2, 2)
-        else:
-            raise DimensionError(
-                f"subsystem dimensions are required for a {n}x{n} operator; pass dims=(dS, dB)"
-            )
-    d0, d1 = dims
-    if d0 * d1 != n:
-        raise DimensionError(f"dims {dims} inconsistent with operator size {n}")
+    if rho.shape != (4, 4):
+        raise DimensionError(f"expected a two-qubit (4x4) operator, got shape {rho.shape}")
     if keep not in (0, 1):
         raise DimensionError(f"keep must be 0 (system) or 1 (environment), got {keep!r}")
-    r = rho.reshape(d0, d1, d0, d1)
+    r = rho.reshape(2, 2, 2, 2)
     if keep == 0:
         return np.einsum("ikjk->ij", r)
     return np.einsum("ikil->kl", r)
@@ -108,9 +104,8 @@ def herm_eig(a) -> SpectralData:
     positive so repeated runs are bit-identical.
     """
     a = as_operator(a)
-    scale = 1.0 + float(np.abs(a).max())
-    defect = hermiticity_defect(a)
-    if not defect <= HERMITICITY_RTOL * scale:
+    defect, hermitian = _hermiticity(a)
+    if not hermitian:
         raise ValidationError(
             f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|A|)"
@@ -132,23 +127,6 @@ def matrix_function(a, f: Callable) -> np.ndarray:
     return (v * np.asarray(f(w), dtype=complex)) @ dag(v)
 
 
-def fractional_power(rho, x: float) -> np.ndarray:
-    """rho**x for a positive semidefinite Hermitian operator, with 0**x = 0.
-
-    Eigenvalues in (DENSITY_EIG_FLOOR, 0] are treated as roundoff and clamped
-    to zero; anything below the floor is a genuine domain violation.
-    """
-    if not x > 0.0:
-        raise DomainError(f"fractional power requires x > 0, got {x}")
-    w, v = herm_eig(rho)
-    if w.min() < DENSITY_EIG_FLOOR:
-        raise DomainError(
-            f"fractional power of an operator with eigenvalue {w.min():.3e} < {DENSITY_EIG_FLOOR:.0e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * (w**x).astype(complex)) @ dag(v)
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """Outcome of validate_density; report-style, never raises."""
@@ -168,17 +146,12 @@ def validate_density(rho) -> DensityReport:
     non-Hermitian input.
     """
     rho = as_operator(rho)
-    scale = 1.0 + float(np.abs(rho).max())
-    h_defect = hermiticity_defect(rho)
+    h_defect, hermitian = _hermiticity(rho)
     t_defect = abs(complex(np.trace(rho)) - 1.0)
     herm = 0.5 * (rho + dag(rho))
     # LAPACK rejects non-finite input; such a report must still come back (not ok).
     min_eig = float(np.linalg.eigvalsh(herm)[0]) if np.isfinite(herm).all() else math.nan
-    ok = (
-        h_defect <= HERMITICITY_RTOL * scale
-        and t_defect <= DENSITY_TRACE_ATOL
-        and min_eig >= DENSITY_EIG_FLOOR
-    )
+    ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
     return DensityReport(h_defect, float(t_defect), min_eig, ok)
 
 

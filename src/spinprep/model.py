@@ -246,11 +246,24 @@ def bloch_compose(b: BlochDecomposition) -> np.ndarray:
 
 
 def qubit_bloch(rho) -> np.ndarray:
-    """Bloch vector (Re tr(rho sigma_i)) of a 2x2 operator."""
+    """Bloch vector (Re tr(rho sigma_i)) of a 2x2 operator, read off its entries.
+
+    Re tr(rho sigma) = (Re(rho01 + rho10), Im(rho10 - rho01), Re(rho00 - rho11)),
+    the inverse of reduced_from_bloch_unchecked on Hermitian unit-trace input.
+    """
     rho = as_operator(rho)
     if rho.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 operator, got {rho.shape}")
-    return np.array([np.trace(rho @ s).real for s in PAULIS])
+    (r00, r01), (r10, r11) = rho.tolist()
+    return np.array([(r01 + r10).real, (r10 - r01).imag, (r00 - r11).real])
+
+
+def reduced_from_bloch_unchecked(s) -> np.ndarray:
+    """(1 + S.sigma)/2 without the |S| <= 1 check (affine maps may leave the ball)."""
+    rho = ID2.copy()
+    for i in range(3):
+        rho = rho + s[i] * PAULIS[i]
+    return 0.5 * rho
 
 
 def reduced_from_bloch(s1) -> np.ndarray:
@@ -261,4 +274,4 @@ def reduced_from_bloch(s1) -> np.ndarray:
     norm = float(np.linalg.norm(s1))
     if norm > 1.0 + 1e-10:
         raise DomainError(f"|s1| = {norm} exceeds 1: not a state")
-    return 0.5 * (ID2 + s1[0] * SX + s1[1] * SY + s1[2] * SZ)
+    return reduced_from_bloch_unchecked(s1)

@@ -378,26 +378,20 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
 def blow_up(prep: Preparation, rho_S) -> np.ndarray:
     """Total initial state R(rho_S) for the given preparation.
 
-    Raises PreparationDomainError when rho_S is not preparable by the chosen
-    procedure; on the domain, the output always satisfies
-    Tr_env R(rho_S) = rho_S and passes validate_density.
+    The defining identity Tr_env R(rho_S) = rho_S is checked once, for every
+    preparation: a Frobenius gap above TRACE_BACK_ATOL, or a NaN gap, raises
+    PreparationDomainError.  That is how a reduced state off the reachable
+    set is rejected.  An operator sandwich that is not a density matrix, and
+    a factorize-and-wait pre-wait state that is not one, raise it too.  On
+    the domain the output passes validate_density.
     """
     rho_S = _check_qubit_density(rho_S, "reduced state")
 
     if isinstance(prep, Equilibrium):
-        s = qubit_bloch(rho_S)
-        transverse = math.hypot(s[0], s[1])
-        if transverse > TRACE_BACK_ATOL:
-            raise PreparationDomainError(
-                "equilibrium preparation reaches only sigma_z-polarized reduced states; "
-                f"got transverse Bloch magnitude {transverse:.3e}"
-            )
-        return equilibrium_state(prep.model, invert_field(prep.model, s[2]))
-
-    if isinstance(prep, Factorizing):
-        return kron(rho_S, prep.rho_B)
-
-    if isinstance(prep, OperatorSandwich):
+        state = equilibrium_state(prep.model, invert_field(prep.model, qubit_bloch(rho_S)[2]))
+    elif isinstance(prep, Factorizing):
+        state = kron(rho_S, prep.rho_B)
+    elif isinstance(prep, OperatorSandwich):
         state, report = operator_sandwich_state(prep.model, prep.Fz, prep.ops)
         if not report.ok:
             raise PreparationDomainError(
@@ -405,15 +399,7 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
                 f"(hermiticity defect {report.hermiticity_defect:.3e}, trace defect "
                 f"{report.trace_defect:.3e}, min eigenvalue {report.min_eigenvalue:.3e})"
             )
-        gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
-        if gap > TRACE_BACK_ATOL:
-            raise PreparationDomainError(
-                "operator-sandwich preparation produces a single reduced state; the "
-                f"requested one differs from it by {gap:.3e} in Frobenius norm"
-            )
-        return state
-
-    if isinstance(prep, FactorizeAndWait):
+    elif isinstance(prep, FactorizeAndWait):
         sigma0 = prep.G_inv.apply(rho_S)
         report = validate_density(sigma0)
         if not report.ok:
@@ -421,16 +407,17 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
                 "reduced state lies outside the range of the waiting propagator: "
                 f"pre-wait state has min eigenvalue {report.min_eigenvalue:.3e}"
             )
-        return evolve_total(kron(sigma0, prep.rho_B0), prep.h_wait, prep.t0)
-
-    if isinstance(prep, MoriLinearResponse):
+        state = evolve_total(kron(sigma0, prep.rho_B0), prep.h_wait, prep.t0)
+    elif isinstance(prep, MoriLinearResponse):
         state = mori_blow_up(prep, rho_S)
-        gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
-        if gap > TRACE_BACK_ATOL:
-            raise PreparationDomainError(
-                "reduced state is not representable in the linear-response manifold "
-                f"spanned by the configured observables (trace-back gap {gap:.3e})"
-            )
-        return state
+    else:
+        raise TypeError(f"unknown preparation {type(prep).__name__}")
 
-    raise TypeError(f"unknown preparation {type(prep).__name__}")
+    gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
+    if not gap <= TRACE_BACK_ATOL:
+        raise PreparationDomainError(
+            f"{type(prep).__name__} preparation does not reach this reduced state: "
+            f"its trace-back differs from it by {gap:.3e} in Frobenius norm "
+            f"(tolerance {TRACE_BACK_ATOL:.0e})"
+        )
+    return state

@@ -213,6 +213,14 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "sweep-bloch", "--config", "/nonexistent/path.cfg")
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        code, stdout, err = run(capsys, "pechukas", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("spinprep: ") and "run-summary" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -23,7 +23,7 @@ from spinprep import (
     qubit_bloch,
     reduced_from_bloch,
 )
-from spinprep.model import ID2, SZ
+from spinprep.model import ID2, PAULIS, SZ
 
 from conftest import assert_close, random_density
 
@@ -378,3 +378,11 @@ class TestBloch:
     def test_qubit_bloch_round_trip(self, rng):
         rho = random_density(rng, 2)
         assert_close(reduced_from_bloch(qubit_bloch(rho)), rho, 1e-13, "qubit round trip")
+
+    def test_qubit_bloch_is_re_tr_rho_sigma(self, rng):
+        # read off the entries, bit for bit the trace against each Pauli matrix
+        for _ in range(50):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for rho in (a, a + a.conj().T):
+                reference = np.array([np.trace(rho @ s).real for s in PAULIS])
+                assert np.array_equal(qubit_bloch(rho), reference)

@@ -8,6 +8,7 @@ import scipy.linalg
 import spinprep.linalg
 import spinprep.prepare
 from spinprep import (
+    DomainError,
     Equilibrium,
     ExtrapolationWarning,
     Factorizing,
@@ -16,13 +17,13 @@ from spinprep import (
     NonInvertibleSusceptibilityError,
     OperatorSandwich,
     PreparationDomainError,
+    ReducedAffineMap,
     UnreachableStateError,
     analytic_spectrum,
     blow_up,
     bloch_decompose,
     equilibrium_observables,
     equilibrium_state,
-    fractional_power,
     hamiltonian,
     invert_field,
     kron,
@@ -35,8 +36,9 @@ from spinprep import (
     susceptibility,
     validate_density,
 )
+from spinprep.linalg import DENSITY_EIG_FLOOR, dag, herm_eig
 from spinprep.model import ID2, SX, SZ, ModelParams
-from spinprep.prepare import embed_system
+from spinprep.prepare import TRACE_BACK_ATOL, embed_system
 
 from conftest import assert_close, random_density
 
@@ -251,6 +253,38 @@ class TestOperatorSandwich:
             blow_up(prep, ID2 / 2)
 
 
+def fractional_power(rho, x: float) -> np.ndarray:
+    """rho**x for a positive semidefinite Hermitian operator, with 0**x = 0.
+
+    Eigenvalues in (DENSITY_EIG_FLOOR, 0] are treated as roundoff and clamped
+    to zero; anything below the floor is a genuine domain violation.  The
+    midpoint-quadrature reference for the Kubo integral.
+    """
+    if not x > 0.0:
+        raise DomainError(f"fractional power requires x > 0, got {x}")
+    w, v = herm_eig(rho)
+    if w.min() < DENSITY_EIG_FLOOR:
+        raise DomainError(
+            f"fractional power of an operator with eigenvalue {w.min():.3e} < {DENSITY_EIG_FLOOR:.0e}"
+        )
+    w = np.clip(w, 0.0, None)
+    return (v * (w**x).astype(complex)) @ dag(v)
+
+
+class TestFractionalPower:
+    def test_power_split_recombines(self, rng):
+        rho = random_density(rng, 4)
+        product = fractional_power(rho, 0.3) @ fractional_power(rho, 0.7)
+        assert_close(product, rho, 1e-12, "rho^0.3 rho^0.7")
+
+    def test_fractional_power_domain(self):
+        with pytest.raises(DomainError):
+            fractional_power(np.diag([1.0, -0.5]), 0.5)
+        # eigenvalues inside the roundoff floor are clamped, not rejected
+        result = fractional_power(np.diag([1.0, -0.5e-10]), 0.5)
+        assert_close(result, np.diag([1.0, 0.0]), 1e-12, "clamped power")
+
+
 class TestKuboIntegral:
     def test_commuting_case_is_classical_covariance(self):
         # g = 0, zero field: rho0 depends only on sigma2_z, so sigma1_z
@@ -439,6 +473,75 @@ class TestFactorizeAndWait:
         prep = FactorizeAndWait(model, Fz_wait=0.3, t0=0.7, rho_B0=ID2 / 2)
         with pytest.raises(PreparationDomainError):
             blow_up(prep, z_state(0.999))
+
+
+def _equilibrium_case():
+    prep = Equilibrium(MODEL)
+    return prep, z_state(0.6), prep, reduced_from_bloch(np.array([0.3, 0.0, 0.2]))
+
+
+def _factorizing_case():
+    # a product preparation reaches every state; an environment state changed
+    # to trace 1.001 after construction puts every state out of its reach
+    rho_b = partial_trace(equilibrium_state(MODEL, 0.0), keep=1)
+    broken = Factorizing(rho_b)
+    object.__setattr__(broken, "rho_B", 1.001 * rho_b)
+    inside = reduced_from_bloch(np.array([0.3, -0.2, 0.5]))
+    return Factorizing(rho_b), inside, broken, inside
+
+
+def _sandwich_case():
+    prep = OperatorSandwich(MODEL, 0.7, ((UP, UP), (DOWN, DOWN)))
+    state, _ = operator_sandwich_state(MODEL, 0.7, prep.ops)
+    return prep, partial_trace(state, keep=0), prep, z_state(0.9)
+
+
+def _factorize_and_wait_case():
+    prep = FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
+    return prep, prep.G.apply(z_state(0.6)), prep, z_state(0.999)
+
+
+def _mori_case():
+    prep = MoriLinearResponse(MODEL, (SZ,))
+    return prep, z_state(0.02), prep, reduced_from_bloch(np.array([0.02, 0.0, 0.0]))
+
+
+# each case: (preparation, state in its domain, preparation, state out of its reach)
+TRACE_BACK_CASES = {
+    "equilibrium": _equilibrium_case,
+    "factorizing": _factorizing_case,
+    "operator-sandwich": _sandwich_case,
+    "factorize-and-wait": _factorize_and_wait_case,
+    "mori": _mori_case,
+}
+
+
+class TestTraceBackContract:
+    @pytest.mark.parametrize("name", sorted(TRACE_BACK_CASES))
+    def test_in_domain_traces_back_and_out_of_reach_raises(self, name):
+        prep, inside, outside_prep, outside = TRACE_BACK_CASES[name]()
+        total = blow_up(prep, inside)
+        assert validate_density(total).ok
+        assert np.linalg.norm(partial_trace(total, keep=0) - inside) <= TRACE_BACK_ATOL
+        with pytest.raises(PreparationDomainError):
+            blow_up(outside_prep, outside)
+
+    def test_wrong_waiting_inverse_is_caught(self):
+        # a slightly wrong G_inv still gives a valid pre-wait state, but the
+        # re-run wait no longer lands on rho_S
+        prep = FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
+        rho_s = prep.G.apply(z_state(0.6))
+        blow_up(prep, rho_s)
+        wrong = ReducedAffineMap(prep.G_inv.bloch * (1.0 + 1e-6), prep.G_inv.offset)
+        object.__setattr__(prep, "G_inv", wrong)
+        with pytest.raises(PreparationDomainError):
+            blow_up(prep, rho_s)
+
+    def test_nan_gap_fails(self):
+        prep = Factorizing(ID2 / 2)
+        object.__setattr__(prep, "rho_B", np.full((2, 2), np.nan))
+        with pytest.raises(PreparationDomainError):
+            blow_up(prep, z_state(0.5))
 
 
 class TestAffineInvariantsBuiltOnce:
