@@ -22,6 +22,12 @@ def summary_value(err, key):
     raise AssertionError(f"{key} not in summary: {line}")
 
 
+def summary_checks(err):
+    # the check entries of the run-summary, after subcommand, status and rows
+    line = [l for l in err.splitlines() if l.startswith("run-summary")][-1]
+    return line.split()[4:]
+
+
 class TestSweepBloch:
     def test_fig1_shape_and_exit(self, capsys, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -128,6 +134,18 @@ class TestEvolve:
         assert code == 1
         assert summary_value(err, "status") == "fail"
 
+    def test_equilibrium_fit_is_gated_when_uncoupled(self, capsys):
+        # at g = 0 the equilibrium blow-up is affine: its fit residual is
+        # roundoff and is held to 1e-9 times the scale, like its affinity
+        code, _, err = run(capsys, "evolve", "--prep", "equilibrium", "--beta-g=0")
+        assert code == 0
+        assert float(summary_value(err, "evolution_fit_equilibrium_bg_0_value")) < 1e-9
+        code, _, err = run(
+            capsys, "evolve", "--prep", "equilibrium", "--beta-g=0", "--tolerance-scale=1e-8"
+        )
+        assert code == 1
+        assert summary_value(err, "evolution_fit_equilibrium_bg_0") == "fail"
+
 
 class TestMoriCheckAndPechukas:
     def test_mori_check(self, capsys):
@@ -187,6 +205,37 @@ class TestConvexityAndLinearity:
         assert summary_value(err, "linear_when_uncoupled") == "pass"
 
 
+class TestCouplingIndependence:
+    @pytest.mark.parametrize(
+        "argv,couplings",
+        [
+            (("sweep-bloch", "--steps=5"), ("0", "1.2")),
+            (("sweep-linearity", "--points=5"), ("1.2", "0")),
+            (("convexity", "--f-steps=2", "--lambdas=0.5"), ("0", "1.2")),
+            (("affinity", "--prep=equilibrium", "--samples=3"), ("0", "1.2")),
+            (("affinity", "--prep=factorize-and-wait", "--samples=3"), ("1.2", "0.5")),
+            (("evolve", "--prep=equilibrium"), ("1.2", "0")),
+            (("evolve", "--prep=mori"), ("0.5", "1.2")),
+            (("mori-check",), ("0.5", "1.2")),
+            (("pechukas",), ("1.2", "0.5")),
+        ],
+        ids=lambda value: "-".join(value).replace("--", ""),
+    )
+    def test_couplings_run_independently_and_in_order(self, capsys, argv, couplings):
+        # --beta-g=a,b is the header, the rows of --beta-g=a, then those of
+        # --beta-g=b; the run-summary checks concatenate the same way
+        a, b = couplings
+        code_a, out_a, err_a = run(capsys, *argv, f"--beta-g={a}")
+        code_b, out_b, err_b = run(capsys, *argv, f"--beta-g={b}")
+        code, out, err = run(capsys, *argv, f"--beta-g={a},{b}")
+        header, *rows_a = out_a.splitlines()
+        assert out_b.splitlines()[0] == header
+        assert rows_a and out_b.splitlines()[1:]
+        assert out.splitlines() == [header, *rows_a, *out_b.splitlines()[1:]]
+        assert summary_checks(err) == summary_checks(err_a) + summary_checks(err_b)
+        assert code == max(code_a, code_b)
+
+
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -208,6 +257,14 @@ class TestConfigHandling:
         code, _, err = run(capsys, "sweep-bloch", "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_unknown_preparation_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prep = bogus\n")
+        code, out, err = run(capsys, "evolve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "bogus" in err
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "sweep-bloch", "--config", "/nonexistent/path.cfg")
@@ -244,6 +301,8 @@ class TestConfigHandling:
             ("sweep-linearity", "--s1z-max=0"),
             ("sweep-linearity", "--s1z-max=1"),
             ("affinity", "--s1z-max=-0.5"),
+            ("affinity", "--prep=bogus"),
+            ("evolve", "--prep=bogus"),
         ],
         ids=[
             "beta-g-not-a-number",
@@ -266,6 +325,8 @@ class TestConfigHandling:
             "s1z-max-zero",
             "s1z-max-one",
             "s1z-max-negative",
+            "affinity-prep-unknown",
+            "evolve-prep-unknown",
         ],
     )
     def test_malformed_flag_value(self, capsys, argv):
