@@ -17,7 +17,9 @@ Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
 the checks of a, then those of b.  The witnesses of the equilibrium
 preparation are gated when uncoupled, where they vanish, and recorded when
-coupled; every other preparation is gated at every coupling.
+coupled; every other preparation is gated at every coupling.  Uncoupled,
+the mori-check and pechukas residuals are roundoff, so there they are gated
+themselves (below 1e-12) in place of their quadratic order and their decay.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
 configuration error (an unknown --prep among them), an --out that cannot be
@@ -156,12 +158,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
     Every number and list entry must be finite, every list nonempty,
-    fd_step and tolerance_scale positive, fz_min below fz_max, s1z_max
-    inside (0, 1), fz_list at least two fields long, samples at least 2 and
-    f_steps at least 1, so that no run tests nothing; no coupling may appear
-    twice in beta_g (0 and -0 are the same coupling), so every run-summary
-    key is unique; prep must name a preparation of the table.  A violation
-    is a configuration error (exit 2).
+    fd_step and tolerance_scale positive, fz_min below fz_max, s1z_max and
+    every mixing weight in lambdas inside (0, 1), fz_list at least two fields
+    long, fz_grid at least five (the affine fit's minimum; the Mori
+    preparation samples its own states), samples at least 2, f_steps at
+    least 1, points at least 3 and steps at least 2, so that no run tests
+    nothing; no coupling may appear twice in beta_g (0 and -0 are the same
+    coupling), so every run-summary key is unique; prep must name a
+    preparation of the table.  A violation is a configuration error (exit 2),
+    found before any runner starts.
     """
     schema = _SUBCOMMANDS[args.subcommand].options
     config = _read_config(args.config) if args.config else {}
@@ -195,9 +200,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"fz-min must be below fz-max, got {cfg['fz_min']} and {cfg['fz_max']}")
     if "s1z_max" in cfg and not 0.0 < cfg["s1z_max"] < 1.0:
         raise ValueError(f"s1z-max must lie strictly between 0 and 1, got {cfg['s1z_max']}")
+    if "lambdas" in cfg and not all(0.0 < lam < 1.0 for lam in cfg["lambdas"]):
+        raise ValueError(f"lambdas must lie strictly between 0 and 1, got {cfg['lambdas']}")
     if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
         raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
-    for key, least in (("samples", 2), ("f_steps", 1)):
+    if "fz_grid" in cfg and cfg["prep"] != "mori" and len(cfg["fz_grid"]) < 5:
+        raise ValueError(f"fz-grid needs at least five fields for the affine fit, got {cfg['fz_grid']}")
+    for key, least in (("samples", 2), ("f_steps", 1), ("points", 3), ("steps", 2)):
         if key in cfg and cfg[key] < least:
             raise ValueError(f"{key.replace('_', '-')} must be at least {least}, got {cfg[key]}")
     return cfg
@@ -205,7 +214,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _write_csv(path: str | None, header: tuple[str, ...], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    if rows:
+        # one row template, the same bytes as _fmt per cell: every row of a
+        # subcommand has the cell types of its first
+        template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(template % row for row in rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -325,18 +338,23 @@ def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]
         rho = equilibrium_state(model, beta_f)
         residuals.append(float(np.linalg.norm(blow_up(prep, partial_trace(rho, keep=0)) - rho)))
     ratio = residuals[0] / residuals[1]
-    checks = [
-        _gate(cfg, f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd), 1e-6),
-        Check(f"quadratic_order_bg_{_fmt(beta_g)}", 2.8 <= ratio <= 5.2, ratio),
-    ]
-    return [(beta_g, chi, float(fd), *residuals, ratio)], checks
+    if beta_g == 0.0:
+        # uncoupled, the Mori blow-up is exact: both residuals are roundoff
+        order = _gate(cfg, "mori_exact_when_uncoupled", max(residuals), 1e-12)
+    else:
+        order = Check(f"quadratic_order_bg_{_fmt(beta_g)}", 2.8 <= ratio <= 5.2, ratio)
+    chi_check = _gate(cfg, f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd), 1e-6)
+    return [(beta_g, chi, float(fd), *residuals, ratio)], [chi_check, order]
 
 
 def _run_pechukas(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
     rows = [(beta_g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
+    if beta_g == 0.0:
+        # uncoupled, the equilibrium state is a product: every residual is roundoff
+        return rows, [_gate(cfg, "factorized_when_uncoupled", max(values), 1e-12)]
+    decreasing = all(a > b for a, b in zip(values, values[1:]))
     return rows, [Check(f"residual_decay_bg_{_fmt(beta_g)}", decreasing, values[-1])]
 
 

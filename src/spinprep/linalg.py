@@ -9,6 +9,7 @@ All functions are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -42,13 +43,21 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - dag(a)).max())
 
 
+def _hermitian_within_tol(defect: float, scale: float) -> bool:
+    """Whether a Hermiticity defect is <= 1e-12 * (1 + scale), scale = max|a|.
+
+    A NaN defect or scale fails the check.
+    """
+    return defect <= HERMITICITY_RTOL * (1.0 + scale)
+
+
 def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
     """The Hermiticity defect of a and whether it is <= 1e-12 * (1 + max|a|).
 
     A NaN entry makes the defect or the scale NaN, and the check fails.
     """
     defect = hermiticity_defect(a)
-    return defect, defect <= HERMITICITY_RTOL * (1.0 + float(np.abs(a).max()))
+    return defect, _hermitian_within_tol(defect, float(np.abs(a).max()))
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -56,13 +65,21 @@ def is_hermitian(a: np.ndarray) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, system (left) factor first.
+    """Kronecker product of two matrices, system (left) factor first.
 
     Row-major block convention: block (i, j) of the result is a[i, j] * b,
     so a 4x4 product of qubit operators orders the basis as
-    |up,up>, |up,down>, |down,up>, |down,down>.
+    |up,up>, |up,down>, |down,up>, |down,down>.  Formed as one broadcast
+    outer product: the same complex multiplications as ``np.kron``, so the
+    result is bit-identical to it (signed zeros included), at a fraction of
+    its overhead.  Any other rank raises DimensionError.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"expected two matrices, got shapes {a.shape} and {b.shape}")
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def partial_trace(rho, keep: int = 0) -> np.ndarray:
@@ -143,16 +160,35 @@ def validate_density(rho) -> DensityReport:
     Pass thresholds: Hermiticity defect <= 1e-12 * (1 + max|rho|), trace
     within 1e-10 of one, smallest eigenvalue >= -1e-10.  The eigenvalue is
     computed from the Hermitian part, so a report is produced even for badly
-    non-Hermitian input.
+    non-Hermitian input; a non-finite entry gives min_eigenvalue nan (not
+    ok).  A qubit (2x2) state is checked in closed form, in Python floats and
+    with no eigensolver: its Hermitian part has diagonal p, q and
+    off-diagonal h, so its smallest eigenvalue is
+    (p + q)/2 - hypot((p - q)/2, |h|).  Larger inputs go through LAPACK
+    ``eigvalsh``.
     """
     rho = as_operator(rho)
-    h_defect, hermitian = _hermiticity(rho)
-    t_defect = abs(complex(np.trace(rho)) - 1.0)
-    herm = 0.5 * (rho + dag(rho))
-    # LAPACK rejects non-finite input; such a report must still come back (not ok).
-    min_eig = float(np.linalg.eigvalsh(herm)[0]) if np.isfinite(herm).all() else math.nan
+    if rho.shape == (2, 2):
+        (a, b), (c, d) = rho.tolist()
+        # the entrywise max |rho - rho^dagger| ((1, 0) mirrors (0, 1)), NaN
+        # when any gap is NaN, as numpy's max on the larger path
+        gaps = (abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+        h_defect = math.nan if math.isnan(sum(gaps)) else max(gaps)
+        hermitian = _hermitian_within_tol(h_defect, max(abs(a), abs(b), abs(c), abs(d)))
+        t_defect = abs(a + d - 1.0)
+        if all(map(cmath.isfinite, (a, b, c, d))):
+            p, q = a.real, d.real
+            min_eig = 0.5 * (p + q) - math.hypot(0.5 * (p - q), abs(0.5 * (b + c.conjugate())))
+        else:
+            min_eig = math.nan
+    else:
+        h_defect, hermitian = _hermiticity(rho)
+        t_defect = abs(complex(np.trace(rho)) - 1.0)
+        herm = 0.5 * (rho + dag(rho))
+        # LAPACK rejects non-finite input; such a report must still come back (not ok).
+        min_eig = float(np.linalg.eigvalsh(herm)[0]) if np.isfinite(herm).all() else math.nan
     ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
-    return DensityReport(h_defect, float(t_defect), min_eig, ok)
+    return DensityReport(h_defect, t_defect, min_eig, ok)
 
 
 def require_density(rho, what: str = "operator") -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 import spinprep.prepare
 from spinprep import equilibrium_observables
-from spinprep.cli import main
+from spinprep.cli import _fmt, _write_csv, main
 
 
 def run(capsys, *argv):
@@ -73,6 +73,21 @@ class TestSweepBloch:
         assert out.startswith("beta_g,")
         assert len(out.splitlines()) == 4
 
+    def test_row_template_writes_the_cell_format_bytes(self, capsys, tmp_path):
+        # the writer's one row template gives the bytes of _fmt per cell
+        specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308]
+        rows = [
+            ("mori", np.float64(x), x, -x, 0.1 * (k + 1), np.float64(1.0 / 3.0))
+            for k, x in enumerate(specials)
+        ]
+        header = ("prep", "a", "b", "c", "d", "e")
+        expected = "\n".join([",".join(header), *(",".join(map(_fmt, r)) for r in rows)]) + "\n"
+        _write_csv(None, header, rows)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "rows.csv"
+        _write_csv(str(target), header, rows)
+        assert target.read_bytes() == expected.encode()
+
     def test_writes_only_the_requested_file(self, capsys, tmp_path):
         target = tmp_path / "only.csv"
         before = set(p.name for p in tmp_path.iterdir())
@@ -134,6 +149,12 @@ class TestEvolve:
         assert code == 1
         assert summary_value(err, "status") == "fail"
 
+    def test_mori_samples_its_own_states(self, capsys):
+        # the Mori preparation ignores the grid's length: five states at least
+        code, out, _ = run(capsys, "evolve", "--prep=mori", "--fz-grid=-1,0,1")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 5
+
     def test_equilibrium_fit_is_gated_when_uncoupled(self, capsys):
         # at g = 0 the equilibrium blow-up is affine: its fit residual is
         # roundoff and is held to 1e-9 times the scale, like its affinity
@@ -162,6 +183,31 @@ class TestMoriCheckAndPechukas:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         residuals = [float(r[2]) for r in rows]
         assert residuals == sorted(residuals, reverse=True)
+
+    @pytest.mark.parametrize(
+        "subcommand,check",
+        [("mori-check", "mori_exact_when_uncoupled"), ("pechukas", "factorized_when_uncoupled")],
+    )
+    def test_residuals_are_gated_when_uncoupled(self, capsys, subcommand, check):
+        # at g = 0 the Mori blow-up is exact and the equilibrium state is a
+        # product: the residuals are roundoff, held to 1e-12 times the scale,
+        # and neither their quadratic order nor their decay is asked for
+        code, _, err = run(capsys, subcommand, "--beta-g=0")
+        assert code == 0
+        assert summary_value(err, check) == "pass"
+        assert float(summary_value(err, check + "_value")) < 1e-12
+        assert "quadratic_order_bg_0" not in err and "residual_decay_bg_0" not in err
+        code, _, err = run(capsys, subcommand, "--beta-g=0", "--tolerance-scale=1e-8")
+        assert code == 1
+        assert summary_value(err, check) == "fail"
+
+    def test_chi_is_gated_when_uncoupled(self, capsys):
+        code, _, err = run(capsys, "mori-check", "--beta-g=0")
+        assert code == 0
+        assert summary_value(err, "chi_matches_fd_bg_0") == "pass"
+        code, _, err = run(capsys, "mori-check", "--beta-g=0", "--tolerance-scale=1e-5")
+        assert code == 1
+        assert summary_value(err, "chi_matches_fd_bg_0") == "fail"
 
 
 class TestConvexityAndLinearity:
@@ -303,6 +349,14 @@ class TestConfigHandling:
             ("affinity", "--s1z-max=-0.5"),
             ("affinity", "--prep=bogus"),
             ("evolve", "--prep=bogus"),
+            ("evolve", "--fz-grid=-1,0,1"),
+            ("evolve", "--prep=factorizing", "--fz-grid=-2,-1,1,2"),
+            ("evolve", "--prep=factorize-and-wait", "--fz-grid=0"),
+            ("convexity", "--lambdas=0,0.5"),
+            ("convexity", "--lambdas=0.5,1"),
+            ("affinity", "--lambdas=-0.25"),
+            ("sweep-linearity", "--points=2"),
+            ("sweep-bloch", "--steps=1"),
         ],
         ids=[
             "beta-g-not-a-number",
@@ -327,6 +381,14 @@ class TestConfigHandling:
             "s1z-max-negative",
             "affinity-prep-unknown",
             "evolve-prep-unknown",
+            "fz-grid-three-fields",
+            "fz-grid-four-fields-factorizing",
+            "fz-grid-one-field-factorize-and-wait",
+            "lambdas-zero",
+            "lambdas-one",
+            "lambdas-negative",
+            "points-two",
+            "steps-one",
         ],
     )
     def test_malformed_flag_value(self, capsys, argv):

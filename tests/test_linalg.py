@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,6 +46,22 @@ class TestKron:
         assert np.array_equal(kron(SX, SX), expected)
         coupling = hamiltonian(ModelParams(1.0, 0.0, 2.5), 0.0) / 2.5
         assert_close(coupling, expected, 1e-15, "coupling term")
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 2), (2, 3))])
+    def test_bit_identical_to_numpy(self, rng, shapes):
+        # the same products as np.kron, down to the sign of a zero
+        signed_zeros = np.array([0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(-0.0, 0.0)])
+        for _ in range(20):
+            a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+            a.flat[rng.integers(a.size)] = rng.choice(signed_zeros)
+            b.flat[rng.integers(b.size)] = rng.choice(signed_zeros)
+            got, want = kron(a, b), np.kron(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(DimensionError):
+            kron(np.ones(2), ID2)
 
 
 class TestPartialTrace:
@@ -171,6 +190,78 @@ class TestValidateDensity:
         assert report.hermiticity_defect > 0.1
         # report-style also for non-finite input: no exception, not ok
         assert not validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]])).ok
+
+    @staticmethod
+    def _reference(rho):
+        # the generic definitions: entrywise |rho - rho^dagger| (as hypot),
+        # |tr rho - 1| and LAPACK's smallest eigenvalue of the Hermitian part
+        with np.errstate(invalid="ignore"):
+            gap = rho - rho.conj().T
+            herm = 0.5 * (rho + rho.conj().T)
+        finite = bool(np.isfinite(rho).all())
+        return (
+            float(np.hypot(gap.real, gap.imag).max()),
+            abs(complex(np.trace(rho)) - 1.0),
+            float(np.linalg.eigvalsh(herm)[0]) if finite else math.nan,
+        )
+
+    @staticmethod
+    def _qubit_cases(rng):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+        floor = 1e-10
+        cases = {
+            "maximally-mixed": np.eye(2) / 2,
+            "pure": pure,
+            "pure-basis": np.diag([1.0, 0.0]).astype(complex),
+            "rank-deficient-offdiagonal": np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
+            "non-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+            "non-hermitian-diagonal": np.array([[0.5 + 1e-3j, 0.0], [0.0, 0.5]]),
+            "just-above-floor": np.diag([1.0 + 0.5 * floor, -0.5 * floor]),
+            "just-below-floor": np.diag([1.0 + 2.0 * floor, -2.0 * floor]),
+            "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            "inf": np.array([[0.5, np.inf], [0.0, 0.5]]),
+            "nan-imaginary": np.array([[0.5, complex(0.0, np.nan)], [0.0, 0.5]]),
+        }
+        for k in range(20):
+            cases[f"random-mixed-{k}"] = random_density(rng, 2)
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            cases[f"random-matrix-{k}"] = g
+        return cases
+
+    def test_qubit_closed_form_matches_the_eigensolver(self, rng):
+        for name, rho in self._qubit_cases(rng).items():
+            report = validate_density(rho)
+            h_defect, t_defect, min_eig = self._reference(rho)
+            # equal, NaN included
+            assert np.array_equal(report.hermiticity_defect, h_defect, equal_nan=True), name
+            assert np.array_equal(report.trace_defect, t_defect, equal_nan=True), name
+            if np.isfinite(rho).all():
+                tol = 1e-15 * (1.0 + float(np.abs(rho).max()))
+                assert abs(report.min_eigenvalue - min_eig) <= tol, name
+            else:
+                assert math.isnan(report.min_eigenvalue), name
+            ok = (
+                h_defect <= 1e-12 * (1.0 + float(np.abs(rho).max()))
+                and t_defect <= 1e-10
+                and min_eig >= -1e-10
+            )
+            assert report.ok == ok, name
+
+    def test_qubit_min_eigenvalue_matches_a_50_digit_reference(self, rng):
+        # (p + q)/2 - sqrt(((p - q)/2)^2 + |h|^2) on the exact binary inputs
+        for _ in range(200):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            rho = g @ g.conj().T if rng.random() < 0.5 else g
+            (a, b), (c, d) = rho.tolist()
+            with localcontext() as ctx:
+                ctx.prec = 50
+                p, q = Decimal(a.real), Decimal(d.real)
+                h_re = (Decimal(b.real) + Decimal(c.real)) / 2
+                h_im = (Decimal(b.imag) - Decimal(c.imag)) / 2
+                exact = (p + q) / 2 - (((p - q) / 2) ** 2 + h_re**2 + h_im**2).sqrt()
+            gap = abs(validate_density(rho).min_eigenvalue - float(exact))
+            assert gap <= 4e-16 * (1.0 + float(np.abs(rho).max()))
 
     def test_equilibrium_states_pass(self):
         # exp(-beta H)/Z is a density matrix by construction; sweep the field
