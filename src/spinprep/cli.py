@@ -160,13 +160,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     Every number and list entry must be finite, every list nonempty,
     fd_step and tolerance_scale positive, fz_min below fz_max, s1z_max and
     every mixing weight in lambdas inside (0, 1), fz_list at least two fields
-    long, fz_grid at least five (the affine fit's minimum; the Mori
-    preparation samples its own states), samples at least 2, f_steps at
-    least 1, points at least 3 and steps at least 2, so that no run tests
-    nothing; no coupling may appear twice in beta_g (0 and -0 are the same
-    coupling), so every run-summary key is unique; prep must name a
-    preparation of the table.  A violation is a configuration error (exit 2),
-    found before any runner starts.
+    long, fz_grid at least five fields with at least two distinct ones (the
+    affine fit's minimum; the Mori preparation samples its own states),
+    samples at least 2, f_steps at least 1, points at least 3 and steps at
+    least 2, so that no run tests nothing; no coupling may appear twice in
+    beta_g (0 and -0 are the same coupling), so every run-summary key is
+    unique; prep must name a preparation of the table, and t0 must be
+    positive for factorize-and-wait.  A violation is a configuration error
+    (exit 2), found before any runner starts.
     """
     schema = _SUBCOMMANDS[args.subcommand].options
     config = _read_config(args.config) if args.config else {}
@@ -204,8 +205,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"lambdas must lie strictly between 0 and 1, got {cfg['lambdas']}")
     if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
         raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
-    if "fz_grid" in cfg and cfg["prep"] != "mori" and len(cfg["fz_grid"]) < 5:
-        raise ValueError(f"fz-grid needs at least five fields for the affine fit, got {cfg['fz_grid']}")
+    if "fz_grid" in cfg and cfg["prep"] != "mori":
+        if len(cfg["fz_grid"]) < 5:
+            raise ValueError(f"fz-grid needs at least five fields for the affine fit, got {cfg['fz_grid']}")
+        if len(set(cfg["fz_grid"])) < 2:
+            raise ValueError(f"fz-grid needs at least two distinct fields for the affine fit, got {cfg['fz_grid']}")
+    if cfg.get("prep") == "factorize-and-wait" and not cfg["t0"] > 0.0:
+        raise ValueError(f"t0 must be positive for factorize-and-wait, got {cfg['t0']}")
     for key, least in (("samples", 2), ("f_steps", 1), ("points", 3), ("steps", 2)):
         if key in cfg and cfg[key] < least:
             raise ValueError(f"{key.replace('_', '-')} must be at least {least}, got {cfg[key]}")

@@ -9,6 +9,7 @@ otherwise; all operator distances use the Frobenius norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -81,21 +82,48 @@ class LinearityReport:
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.abs(design @ coef - y).max())
-    return LineFit(float(coef[0]), float(coef[1]), residual)
+    """Least-squares line through (x, y) in closed form, from the centred sums.
+
+    slope = sum (x - mean x)(y - mean y) / sum (x - mean x)^2 and
+    intercept = mean y - slope mean x; the residual is
+    max |slope x + intercept - y|, NaN when the fit is not finite (a NaN or
+    inf input).  Both sums are taken over (x - mean x) / max |x - mean x|,
+    so that they do not underflow on a grid as narrow as 1e-200.  The points
+    are few (one per S1z grid value), so the sums run in Python floats.  x
+    must hold at least two distinct values.
+    """
+    xs, ys = x.tolist(), y.tolist()
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [a - x_mean for a in xs]
+    scale = max(map(abs, dx))
+    sxy = sxx = 0.0
+    for d, b in zip(dx, ys):
+        d /= scale
+        sxy += d * (b - y_mean)
+        sxx += d * d
+    slope = sxy / (sxx * scale)
+    intercept = y_mean - slope * x_mean
+    residual = 0.0 if math.isfinite(slope + intercept) else math.nan
+    for a, b in zip(xs, ys):
+        gap = abs(slope * a + intercept - b)
+        if gap > residual:
+            residual = gap
+    return LineFit(slope, intercept, residual)
 
 
 def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
     """Evaluate S2z, Cxx, Cyy, Czz against S1z and fit each as a straight line.
 
     The grid values are S1z targets strictly inside the preparable interval;
-    each is realized by inverting the field.
+    each is realized by inverting the field.  A grid of fewer than 3 points,
+    or with fewer than 2 distinct values, raises ValueError: no line is
+    fitted through it.
     """
     s1z = np.asarray(s1z_grid, dtype=float)
     if s1z.size < 3:
         raise ValueError(f"linearity scan needs at least 3 grid points, got {s1z.size}")
+    if not (s1z != s1z[0]).any():
+        raise ValueError("linearity scan needs at least 2 distinct S1z values")
     rows = [equilibrium_observables(model, invert_field(model, s)) for s in s1z]
     curves = {
         name: np.array([getattr(r, name) for r in rows])

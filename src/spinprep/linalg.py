@@ -38,9 +38,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dagger| entrywise."""
-    a = np.asarray(a)
-    return float(np.abs(a - dag(a)).max())
+    """max |A - A^dagger| entrywise; NaN when an entry is not finite."""
+    return _hermiticity(np.asarray(a))[0]
 
 
 def _hermitian_within_tol(defect: float, scale: float) -> bool:
@@ -54,10 +53,14 @@ def _hermitian_within_tol(defect: float, scale: float) -> bool:
 def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
     """The Hermiticity defect of a and whether it is <= 1e-12 * (1 + max|a|).
 
-    A NaN entry makes the defect or the scale NaN, and the check fails.
+    A non-finite entry makes the defect NaN, and the check fails; the
+    difference A - A^dagger is then not formed (inf - inf would warn).
     """
-    defect = hermiticity_defect(a)
-    return defect, _hermitian_within_tol(defect, float(np.abs(a).max()))
+    scale = float(np.abs(a).max())
+    if not math.isfinite(scale):
+        return math.nan, False
+    defect = float(np.abs(a - dag(a)).max())
+    return defect, _hermitian_within_tol(defect, scale)
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -183,10 +186,12 @@ def validate_density(rho) -> DensityReport:
             min_eig = math.nan
     else:
         h_defect, hermitian = _hermiticity(rho)
-        t_defect = abs(complex(np.trace(rho)) - 1.0)
-        herm = 0.5 * (rho + dag(rho))
-        # LAPACK rejects non-finite input; such a report must still come back (not ok).
-        min_eig = float(np.linalg.eigvalsh(herm)[0]) if np.isfinite(herm).all() else math.nan
+        if math.isnan(h_defect):
+            # a non-finite entry: LAPACK rejects it, and the report comes back not ok
+            t_defect = min_eig = math.nan
+        else:
+            t_defect = abs(complex(np.trace(rho)) - 1.0)
+            min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[0])
     ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
     return DensityReport(h_defect, t_defect, min_eig, ok)
 

@@ -218,12 +218,20 @@ def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
 def invert_field(model: ModelParams, target_S1z: float) -> float:
     """Field Fz with S1z(Fz) = target, to within 1e-12 in S1z.
 
-    S1z is odd and strictly increasing in Fz, so the root is bracketed by
-    doubling the field and then pinned by Illinois regula falsi inside the
-    last doubling bracket: secant steps that never leave the bracket, where
-    an end kept for two steps in a row has its residual halved.  It stops at
-    |S1z - target| <= 1e-14, or when the next iterate is not strictly inside
-    the bracket, and returns the evaluated field with the smallest residual.
+    S1z is odd and strictly increasing in Fz, and uncoupled it is exactly
+    tanh(beta Fz).  The root is therefore sought in atanh coordinates, where
+    phi(F) = atanh(S1z(F)) - atanh(|target|) is close to linear also when
+    coupled: a secant iteration on phi starts at the uncoupled root
+    atanh(|target|)/beta, with the exact point (0, -atanh(|target|)) as the
+    previous iterate.  Every evaluation tightens a bracket [lo, hi] of the
+    root (hi = inf until S1z reaches the target; S1z rounding to 1 gives
+    phi = inf).  A secant step that is not finite or leaves the bracket is
+    replaced by bisection, or by doubling lo while there is no upper end.
+    It stops at |S1z - target| <= 1e-14, or when the next iterate is not
+    strictly inside the bracket, and returns the evaluated field with the
+    smallest residual; a residual above 1e-12 raises RuntimeError.  A target
+    with |S1z| >= 1, or one whose next step needs |Fz| > 1e8/beta, raises
+    UnreachableStateError.
     """
     sup = 1.0  # sup |S1z| over all fields, approached only as Fz -> +-inf
     if not abs(target_S1z) < sup:
@@ -235,42 +243,42 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
     if target_S1z == 0.0:
         return 0.0
 
-    goal = abs(target_S1z)
-
-    def residual(f: float) -> float:
-        return equilibrium_observables(model, f).S1z - goal
-
-    lo, r_lo = 0.0, -goal  # S1z(0) = 0 exactly: S1z is odd
-    hi = 1.0 / model.beta
-    cap = 1e8 / model.beta
-    r_hi = residual(hi)
-    while r_hi < 0.0:
-        lo, r_lo = hi, r_hi
-        hi *= 2.0
-        if hi > cap:
+    # Python floats throughout: inf - inf gives nan with no RuntimeWarning (a
+    # numpy scalar warns), and the bracket test below rejects nan
+    goal = float(abs(target_S1z))
+    phi_goal = math.atanh(goal)
+    beta = float(model.beta)
+    cap = 1e8 / beta
+    lo, hi = 0.0, math.inf
+    x_prev, phi_prev = 0.0, -phi_goal  # S1z(0) = 0 exactly: S1z is odd
+    x = phi_goal / beta
+    root, r = x, math.inf
+    while True:
+        s = float(equilibrium_observables(model, x).S1z)
+        r_x = s - goal
+        phi = math.atanh(s) - phi_goal if s < 1.0 else math.inf
+        if abs(r_x) < abs(r):
+            root, r = x, r_x
+        if abs(r) <= 1e-14:
+            break
+        if r_x < 0.0:
+            lo = x
+        else:
+            hi = x
+        den = phi - phi_prev
+        step = phi * (x - x_prev) / den if den else math.nan
+        x_prev, phi_prev = x, phi
+        x -= step
+        if not lo < x < min(hi, cap):
+            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+            if not lo < x < hi:
+                break
+        if x > cap:
             raise UnreachableStateError(
                 f"target S1z = {target_S1z} needs |Fz| > {cap:.3e}; "
                 f"the supremum {sup} is approached only asymptotically",
                 supremum=sup,
             )
-        r_hi = residual(hi)
-    root, r = (hi, r_hi) if r_hi <= -r_lo else (lo, r_lo)
-    kept = 0  # the end the last step kept: -1 lo, +1 hi
-    while abs(r) > 1e-14:
-        x = hi - r_hi * (hi - lo) / (r_hi - r_lo)
-        if not lo < x < hi:
-            break
-        r_x = residual(x)
-        if abs(r_x) < abs(r):
-            root, r = x, r_x
-        if r_x < 0.0:
-            lo, r_lo = x, r_x
-            r_hi *= 0.5 if kept == 1 else 1.0
-            kept = 1
-        else:
-            hi, r_hi = x, r_x
-            r_lo *= 0.5 if kept == -1 else 1.0
-            kept = -1
     if abs(r) > 1e-12:
         raise RuntimeError(
             f"field inversion did not converge for target S1z = {target_S1z}"

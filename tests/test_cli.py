@@ -352,6 +352,13 @@ class TestConfigHandling:
             ("evolve", "--fz-grid=-1,0,1"),
             ("evolve", "--prep=factorizing", "--fz-grid=-2,-1,1,2"),
             ("evolve", "--prep=factorize-and-wait", "--fz-grid=0"),
+            ("evolve", "--prep=equilibrium", "--fz-grid=1,1,1,1,1"),
+            ("evolve", "--prep=factorizing", "--fz-grid=-0.5,-0.5,-0.5,-0.5,-0.5,-0.5"),
+            ("evolve", "--prep=factorize-and-wait", "--fz-grid=2,2,2,2,2"),
+            ("affinity", "--prep=factorize-and-wait", "--t0=0"),
+            ("affinity", "--prep=factorize-and-wait", "--t0=-0.7"),
+            ("evolve", "--prep=factorize-and-wait", "--t0=0"),
+            ("evolve", "--prep=factorize-and-wait", "--t0=-1e-3"),
             ("convexity", "--lambdas=0,0.5"),
             ("convexity", "--lambdas=0.5,1"),
             ("affinity", "--lambdas=-0.25"),
@@ -384,6 +391,13 @@ class TestConfigHandling:
             "fz-grid-three-fields",
             "fz-grid-four-fields-factorizing",
             "fz-grid-one-field-factorize-and-wait",
+            "fz-grid-one-distinct-field-equilibrium",
+            "fz-grid-one-distinct-field-factorizing",
+            "fz-grid-one-distinct-field-factorize-and-wait",
+            "affinity-t0-zero-factorize-and-wait",
+            "affinity-t0-negative-factorize-and-wait",
+            "evolve-t0-zero-factorize-and-wait",
+            "evolve-t0-negative-factorize-and-wait",
             "lambdas-zero",
             "lambdas-one",
             "lambdas-negative",

@@ -19,6 +19,7 @@ from spinprep import (
     linearity_scan,
     reduced_from_bloch,
 )
+from spinprep.diagnostics import _fit_line
 from spinprep.model import SZ, ModelParams
 
 from conftest import assert_close, random_density
@@ -106,6 +107,45 @@ class TestLinearityScan:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             linearity_scan(MODEL15, [0.0, 0.1])
+
+    def test_grid_of_one_repeated_value(self):
+        with pytest.raises(ValueError, match="distinct"):
+            linearity_scan(MODEL15, [0.3, 0.3, 0.3, 0.3])
+
+
+def _lstsq_line(x, y):
+    design = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    return slope, intercept, float(np.abs(design @ [slope, intercept] - y).max())
+
+
+class TestFitLine:
+    def test_matches_lstsq_on_random_data(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            fit = _fit_line(x, y)
+            slope, intercept, residual = _lstsq_line(x, y)
+            assert abs(fit.slope - slope) <= 1e-13
+            assert abs(fit.intercept - intercept) <= 1e-13
+            assert abs(fit.max_residual - residual) <= 1e-13
+
+    def test_exact_line(self, rng):
+        for _ in range(200):
+            x = np.linspace(-0.9, 0.9, int(rng.integers(3, 30)))
+            a, b = rng.uniform(-1.0, 1.0, 2)
+            fit = _fit_line(x, a * x + b)
+            assert abs(fit.slope - a) <= 1e-13
+            assert abs(fit.intercept - b) <= 1e-13
+            assert fit.max_residual <= 1e-15
+
+    def test_narrow_grid_does_not_underflow(self):
+        # the centred sums of squares of a 1e-200 grid would underflow to 0
+        x = np.linspace(-1e-200, 1e-200, 5)
+        fit = _fit_line(x, 2e-200 - 3.0 * x)
+        assert fit.slope == pytest.approx(-3.0, rel=1e-14)
+        assert fit.intercept == pytest.approx(2e-200, rel=1e-14)
+        assert fit.max_residual <= 1e-214
 
 
 class TestEvennessWitness:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,6 +15,7 @@ from spinprep import (
     partial_trace,
     validate_density,
 )
+from spinprep.linalg import hermiticity_defect, is_hermitian
 from spinprep.model import ID2, SX, SZ, ModelParams, hamiltonian
 from spinprep.prepare import equilibrium_state
 
@@ -119,6 +121,19 @@ class TestHermEig:
         with pytest.raises(ValidationError):
             herm_eig(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_infinite_diagonal_rejected_without_warning(self, n, entry):
+        # inf - conj(inf) is inf - inf: the defect is NaN, never a RuntimeWarning
+        a = np.eye(n, dtype=complex)
+        a[0, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(hermiticity_defect(a))
+            assert not is_hermitian(a)
+            with pytest.raises(ValidationError):
+                herm_eig(a)
+
     def test_against_lapack(self, rng):
         for n in (2, 3, 4, 5):
             a = random_hermitian(rng, n)
@@ -190,6 +205,19 @@ class TestValidateDensity:
         assert report.hermiticity_defect > 0.1
         # report-style also for non-finite input: no exception, not ok
         assert not validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]])).ok
+
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (3, 0)])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(np.inf, np.inf), np.nan])
+    def test_non_finite_two_qubit_input_is_not_ok_without_warning(self, index, entry):
+        # a 4x4 report with a non-finite entry: NaN defects and eigenvalue, not ok
+        rho = np.eye(4, dtype=complex) / 4
+        rho[index] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density(rho)
+        assert not report.ok
+        assert math.isnan(report.hermiticity_defect)
+        assert math.isnan(report.min_eigenvalue)
 
     @staticmethod
     def _reference(rho):

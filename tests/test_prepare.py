@@ -132,7 +132,9 @@ class TestInvertField:
             s = equilibrium_observables(MODEL, beta_f).S1z
             assert abs(invert_field(MODEL, s) - beta_f) < 1e-10
 
-    def test_inverts_to_stated_tolerance(self, monkeypatch):
+    @pytest.fixture
+    def fields(self, monkeypatch):
+        """The fields at which invert_field evaluates the closed form."""
         fields = []
 
         def counting(model, fz):
@@ -140,11 +142,52 @@ class TestInvertField:
             return equilibrium_observables(model, fz)
 
         monkeypatch.setattr(spinprep.prepare, "equilibrium_observables", counting)
+        return fields
+
+    def test_inverts_to_stated_tolerance(self, fields):
         for target in (-0.9999, -0.93, -0.2, 0.41, 0.88, 0.9999):
             fields.clear()
             field = invert_field(MODEL, target)
-            assert len(fields) <= 30, f"{len(fields)} closed-form evaluations for {target}"
+            assert len(fields) <= 12, f"{len(fields)} closed-form evaluations for {target}"
             assert abs(equilibrium_observables(MODEL, field).S1z - target) <= 1e-12
+
+    def test_uncoupled_root_is_the_first_evaluation(self, fields):
+        # uncoupled, S1z = tanh(beta Fz): the start atanh(target)/beta is the root
+        model = ModelParams(2.0, 1.0, 0.0)
+        for target in (-0.9, 0.3, 0.7):
+            fields.clear()
+            field = invert_field(model, target)
+            assert len(fields) == 1
+            assert abs(field - math.atanh(target) / 2.0) <= 1e-15
+
+    def test_few_evaluations_on_the_bench_family(self, fields):
+        # the models and targets of the benchmark's inversions: beta e in
+        # [0.5, 1.5], beta g in [0, 2], |S1z| <= 0.95
+        rng = np.random.default_rng(20261018)
+        counts = []
+        for _ in range(300):
+            model = ModelParams(1.0, rng.uniform(0.5, 1.5), rng.uniform(0.0, 2.0))
+            target = float(rng.uniform(-0.95, 0.95))
+            fields.clear()
+            field = invert_field(model, target)
+            counts.append(len(fields))
+            assert abs(equilibrium_observables(model, field).S1z - target) <= 1e-12, model
+        assert np.mean(counts) <= 6.0, f"mean {np.mean(counts)} evaluations per inversion"
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 3.0])
+    def test_edge_targets(self, beta, g):
+        # coupled at beta = 50, 1 - S1z falls off only as a power of the field:
+        # 1 - 1e-15 needs a field beyond the cap there, and only there
+        model = ModelParams(beta, 1.0, g)
+        for target in (1e-300, 5e-324, 1.0 - 1e-10, 1.0 - 1e-15):
+            for signed in (target, -target):
+                if beta == 50.0 and g != 0.0 and target == 1.0 - 1e-15:
+                    with pytest.raises(UnreachableStateError):
+                        invert_field(model, signed)
+                    continue
+                field = invert_field(model, signed)
+                assert abs(equilibrium_observables(model, field).S1z - signed) <= 1e-12
 
     def test_extreme_target_needs_large_field(self):
         field = invert_field(MODEL, 0.9999)
