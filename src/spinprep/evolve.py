@@ -107,10 +107,8 @@ def factorizing_propagator(H, rho_B0, t: float) -> ReducedAffineMap:
         return partial_trace(u @ total @ dag(u), keep=0)
 
     offset = qubit_bloch(reduced_image(0.5 * ID2))
-    bloch = np.empty((3, 3))
-    for i in range(3):
-        image = reduced_image(0.5 * PAULIS[i])  # traceless input: pure Bloch column
-        bloch[:, i] = qubit_bloch(image)
+    # traceless inputs: each image is a pure Bloch column
+    bloch = np.column_stack([qubit_bloch(reduced_image(0.5 * s)) for s in PAULIS])
     return ReducedAffineMap(bloch, offset)
 
 
@@ -171,9 +169,7 @@ def fit_affine_map(samples) -> AffineFitReport:
         )
     theta, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (4, 3)
     fitted = ReducedAffineMap(theta[1:, :].T.copy(), theta[0, :].copy())
-    residual = 0.0
-    for rho_in, rho_out in pairs:
-        residual = max(residual, float(np.linalg.norm(fitted.apply(rho_in) - rho_out)))
+    residual = max(float(np.linalg.norm(fitted.apply(a) - b)) for a, b in pairs)
     return AffineFitReport(fitted, residual, len(pairs))
 
 

@@ -54,12 +54,14 @@ def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
     """The Hermiticity defect of a and whether it is <= 1e-12 * (1 + max|a|).
 
     A non-finite entry makes the defect NaN, and the check fails; the
-    difference A - A^dagger is then not formed (inf - inf would warn).
+    difference A - A^dagger is then not formed (inf - inf would warn).  A
+    finite difference beyond the largest double reads inf, with no warning.
     """
     scale = float(np.abs(a).max())
     if not math.isfinite(scale):
         return math.nan, False
-    defect = float(np.abs(a - dag(a)).max())
+    with np.errstate(over="ignore"):
+        defect = float(np.abs(a - dag(a)).max())
     return defect, _hermitian_within_tol(defect, scale)
 
 
@@ -191,7 +193,8 @@ def validate_density(rho) -> DensityReport:
             t_defect = min_eig = math.nan
         else:
             t_defect = abs(complex(np.trace(rho)) - 1.0)
-            min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[0])
+            # halved before the sum, which cannot overflow for finite entries
+            min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
     ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
     return DensityReport(h_defect, t_defect, min_eig, ok)
 

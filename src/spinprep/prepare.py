@@ -15,9 +15,9 @@ Tr_env R(rho_S) = rho_S.  Five procedures are implemented:
 * MoriLinearResponse: first order of the equilibrium preparation in the
   field, an exactly affine blow-up built from Kubo canonical correlations.
 
-The two affine preparations with model-dependent data (MoriLinearResponse and
-FactorizeAndWait) compute that data once, when the value is constructed, so a
-blow-up does only the work that depends on the reduced state.
+Each class builds its model-only data once, at construction, and owns its
+blow-up (a private _total_state) that does only the per-state work; blow_up
+is the one public entry and holds the checks common to all five.
 
 All constructors and maps are pure; preparation values are immutable.
 """
@@ -38,7 +38,7 @@ from .errors import (
     UnreachableStateError,
     ValidationError,
 )
-from .evolve import ReducedAffineMap, evolve_total, factorizing_propagator, invert_propagator
+from .evolve import ReducedAffineMap, factorizing_propagator, invert_propagator, propagator
 from .linalg import (
     DensityReport,
     as_operator,
@@ -57,7 +57,6 @@ from .model import hamiltonian, qubit_bloch
 TRACE_BACK_ATOL = 1e-10
 
 _CHI_MAX_COND = 1e12
-_KUBO_DEGENERATE_LOG = 1e-8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -79,6 +78,9 @@ class Equilibrium:
 
     model: ModelParams
 
+    def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
+        return equilibrium_state(self.model, invert_field(self.model, qubit_bloch(rho_S)[2]))
+
 
 @dataclass(frozen=True, eq=False)
 class Factorizing:
@@ -89,39 +91,53 @@ class Factorizing:
     def __post_init__(self):
         _check_qubit_density(self.rho_B, "rho_B")
 
+    def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
+        return kron(rho_S, self.rho_B)
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorSandwich:
-    """sum_j (O_j (x) 1) rho^Fz (O_j' (x) 1) for system operator pairs (O_j, O_j')."""
+    """sum_j (O_j (x) 1) rho^Fz (O_j' (x) 1) for system operator pairs (O_j, O_j').
+
+    Construction builds the one reachable state (operator_sandwich_state) and
+    raises PreparationDomainError when it is not a density matrix.
+    """
 
     model: ModelParams
     Fz: float
     ops: tuple
+    state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.ops) == 0:
-            raise ValueError("operator sandwich requires a nonempty ops list")
-        for left, right in self.ops:
-            if as_operator(left).shape != (2, 2) or as_operator(right).shape != (2, 2):
-                raise DimensionError("sandwich operators must act on the system qubit (2x2)")
+        state, report = operator_sandwich_state(self.model, self.Fz, self.ops)
+        if not report.ok:
+            raise PreparationDomainError(
+                "operator-sandwich configuration does not produce a valid density matrix "
+                f"(hermiticity defect {report.hermiticity_defect:.3e}, trace defect "
+                f"{report.trace_defect:.3e}, min eigenvalue {report.min_eigenvalue:.3e})"
+            )
+        object.__setattr__(self, "state", _frozen(state))
+
+    def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
+        return self.state.copy()
 
 
 @dataclass(frozen=True, eq=False)
 class FactorizeAndWait:
     """Factorize at -t0, evolve with the waiting Hamiltonian, prepare at 0.
 
-    Construction builds the waiting Hamiltonian h_wait = H(Fz_wait), the
-    reduced waiting propagator G (factorizing_propagator of h_wait, rho_B0
-    and t0) and its affine inverse G_inv once; it raises
-    NonInvertiblePropagatorError when G cannot be inverted.  A blow-up then
-    applies G_inv to the reduced state and re-runs the wait.
+    Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0),
+    the reduced waiting propagator G and its affine inverse G_inv once; it
+    raises NonInvertiblePropagatorError when G cannot be inverted.  A blow-up
+    checks the pre-wait state sigma0 = G_inv(rho_S) and returns
+    u_wait (sigma0 (x) rho_B0) u_wait^dagger.
     """
 
     model: ModelParams
     Fz_wait: float
     t0: float
     rho_B0: np.ndarray
-    h_wait: np.ndarray = field(init=False, repr=False)
+    u_wait: np.ndarray = field(init=False, repr=False)
     G: ReducedAffineMap = field(init=False, repr=False)
     G_inv: ReducedAffineMap = field(init=False, repr=False)
 
@@ -131,24 +147,34 @@ class FactorizeAndWait:
         _check_qubit_density(self.rho_B0, "rho_B0")
         h_wait = hamiltonian(self.model, self.Fz_wait)
         g_map = factorizing_propagator(h_wait, self.rho_B0, self.t0)
-        object.__setattr__(self, "h_wait", _frozen(h_wait))
+        object.__setattr__(self, "u_wait", _frozen(propagator(h_wait, self.t0)))
         object.__setattr__(self, "G", g_map)
         object.__setattr__(self, "G_inv", invert_propagator(g_map))
+
+    def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
+        sigma0 = self.G_inv.apply(rho_S)
+        report = validate_density(sigma0)
+        if not report.ok:
+            raise PreparationDomainError(
+                "reduced state lies outside the range of the waiting propagator: "
+                f"pre-wait state has min eigenvalue {report.min_eigenvalue:.3e}"
+            )
+        return self.u_wait @ kron(sigma0, self.rho_B0) @ dag(self.u_wait)
 
 
 @dataclass(frozen=True, eq=False)
 class MoriLinearResponse:
     """Linear-response preparation around zero field.
 
-    observables are the system operators conjugate to the external fields.
-    beta_f_max bounds |beta * F_i| of the inferred fields; beyond it the
-    blow-up still evaluates but emits ExtrapolationWarning.
+    observables are the Hermitian system (2x2) operators conjugate to the
+    external fields.  beta_f_max bounds |beta * F_i| of the inferred fields;
+    beyond it the blow-up still evaluates but emits ExtrapolationWarning.
 
     Construction computes the zero-field state rho0, its reduced state
-    rho0_S = Tr_env rho0, the Kubo operators kubo[j] of the observables and
-    the susceptibility chi once, with chi's symmetry and condition checks;
-    it raises NonInvertibleSusceptibilityError when chi cannot be inverted
-    (for instance for a repeated observable).
+    rho0_S, the Kubo operators kubo[j] of the observables and the
+    susceptibility chi once, with chi's symmetry and condition checks; it
+    raises NonInvertibleSusceptibilityError when chi cannot be inverted (for
+    instance for a repeated observable).
     """
 
     model: ModelParams
@@ -162,17 +188,12 @@ class MoriLinearResponse:
     def __post_init__(self):
         if len(self.observables) == 0:
             raise ValueError("linear-response preparation requires at least one observable")
-        for x in self.observables:
-            x = as_operator(x)
-            if x.shape != (2, 2):
-                raise DimensionError("observables must act on the system qubit (2x2)")
-            if not is_hermitian(x):
-                raise ValidationError("observables must be Hermitian")
         if not self.beta_f_max > 0.0:
             raise ValueError(f"beta_f_max must be positive, got {self.beta_f_max}")
         rho0 = equilibrium_state(self.model, 0.0)
+        h0 = hamiltonian(self.model, 0.0)
         total_obs = [embed_system(x) for x in self.observables]
-        kubo = [kubo_integral(rho0, x, beta=self.model.beta) for x in total_obs]
+        kubo = [kubo_integral(h0, x, beta=self.model.beta) for x in total_obs]
         # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
         chi = np.array([[float(np.trace(xi @ kj).real) for kj in kubo] for xi in total_obs])
         sym_defect = float(np.abs(chi - chi.T).max())
@@ -188,6 +209,9 @@ class MoriLinearResponse:
         object.__setattr__(self, "rho0_S", _frozen(partial_trace(rho0, keep=0)))
         object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
         object.__setattr__(self, "chi", _frozen(chi))
+
+    def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
+        return mori_blow_up(self, rho_S)
 
 
 Preparation = Equilibrium | Factorizing | OperatorSandwich | FactorizeAndWait | MoriLinearResponse
@@ -303,46 +327,46 @@ def operator_sandwich_state(model: ModelParams, Fz: float, ops) -> tuple[np.ndar
     return total, validate_density(total)
 
 
-def kubo_integral(rho0, X, beta: float = 1.0) -> np.ndarray:
+def kubo_integral(H, X, beta: float = 1.0) -> np.ndarray:
     """Canonical correlation integral beta * int_0^1 rho0^(1-x) dX rho0^x dx.
 
-    dX = X - <X>_0 with <X>_0 = tr(X rho0).  In the eigenbasis of rho0 with
-    probabilities p the integral is exact:
+    rho0 = exp(-beta H)/Z and dX = X - <X>_0.  In the eigenbasis of H, with
+    energies E and weights p = exp(-beta (E - E_min)) / sum, element (m, n)
+    is beta dX_mn (p_m - p_n) / (beta (E_n - E_m)), evaluated as
 
-        element (m, n) = dX_mn (p_m - p_n) / ln(p_m / p_n)   for p_m != p_n,
-        element (m, n) = dX_mn p_m                           for p_m = p_n,
+        beta dX_mn max(p_m, p_n) (1 - exp(-b)) / b,  b = beta |E_m - E_n|,
 
-    and zero whenever both probabilities vanish.  The result is Hermitian and
-    traceless, and linear in X.
+    and beta dX_mn p_m at b = 0.  Weights from the energies, not from rho0,
+    keep a probability far below the roundoff of rho0's entries accurate.
+    The result is Hermitian and traceless, and linear in X.
     """
-    rho0 = require_density(rho0, "rho0")
+    H = as_operator(H)
     X = as_operator(X)
-    if X.shape != rho0.shape:
-        raise DimensionError(f"X shape {X.shape} does not match rho0 shape {rho0.shape}")
+    if X.shape != H.shape:
+        raise DimensionError(f"X shape {X.shape} does not match H shape {H.shape}")
     if not is_hermitian(X):
         raise ValidationError("X must be Hermitian")
 
-    w, v = herm_eig(rho0)
-    p = np.clip(w, 0.0, None)
-    mean = float(np.trace(X @ rho0).real)
-    dx_eig = dag(v) @ (X - mean * np.eye(X.shape[0])) @ v
+    w, v = herm_eig(H)
+    p = np.exp(-beta * (w - w[0]))  # ascending energies: w[0] is the ground
+    p /= p.sum()
+    x_eig = dag(v) @ X @ v
+    dx_eig = x_eig - float(p @ x_eig.diagonal().real) * np.eye(len(w))
 
-    pm, pk = p[:, None], p[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.log(pm) - np.log(pk)
-        kernel = np.where(np.abs(d) < _KUBO_DEGENERATE_LOG, 0.5 * (pm + pk), (pm - pk) / d)
-    kernel[(pm == 0.0) | (pk == 0.0)] = 0.0  # (pm - pk)/ln(pm/pk) -> 0 as a probability vanishes
+    b = beta * np.abs(w[:, None] - w[None, :])
+    # (1 - exp(-b)) / b, and its limit 1 at b = 0
+    ratio = np.divide(-np.expm1(-b), b, out=np.ones_like(b), where=b > 0.0)
+    kernel = np.maximum(p[:, None], p[None, :]) * ratio
     return beta * (v @ (dx_eig * kernel) @ dag(v))
 
 
 def susceptibility(model: ModelParams, observables) -> np.ndarray:
     """Response matrix chi_ij = tr(dX_i * K_j) with K_j the Kubo integral of X_j.
 
-    Everything is evaluated in the closed-form zero-field equilibrium state.
-    chi is real symmetric, and positive definite whenever the observables are
-    linearly independent and none is conserved; a condition number above 1e12
-    (or a non-finite one) raises NonInvertibleSusceptibilityError.  It is
-    the chi that MoriLinearResponse(model, observables) computes.
+    It is the zero-field chi that MoriLinearResponse(model, observables)
+    computes: real symmetric, and positive definite whenever the observables
+    are linearly independent and none is conserved; a condition number above
+    1e12 (or a non-finite one) raises NonInvertibleSusceptibilityError.
     """
     return MoriLinearResponse(model, tuple(observables)).chi
 
@@ -363,10 +387,10 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     """Linear-response blow-up: rho0 + sum_i F_i K_i with F from mori_fields.
 
     rho0 and the Kubo operators K_i are the ones prep computed at
-    construction; per call only rho_S is validated and F solved for.  Affine
-    in rho_S by construction.  For rho_S equal to the reduced zero-field
-    state all field estimates vanish and rho0 is returned exactly.  Emits
-    ExtrapolationWarning when some |beta F_i| exceeds prep.beta_f_max.
+    construction, so the map is affine in rho_S.  For rho_S equal to the
+    reduced zero-field state all field estimates vanish and rho0 is returned
+    exactly.  Emits ExtrapolationWarning when some |beta F_i| exceeds
+    prep.beta_f_max.
     """
     fields = mori_fields(prep, rho_S)
     state = prep.rho0.astype(complex)
@@ -386,41 +410,17 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
 def blow_up(prep: Preparation, rho_S) -> np.ndarray:
     """Total initial state R(rho_S) for the given preparation.
 
-    The defining identity Tr_env R(rho_S) = rho_S is checked once, for every
-    preparation: a Frobenius gap above TRACE_BACK_ATOL, or a NaN gap, raises
+    rho_S must be a qubit density matrix.  The defining identity
+    Tr_env R(rho_S) = rho_S is checked once, for every preparation: a
+    Frobenius gap above TRACE_BACK_ATOL, or a NaN gap, raises
     PreparationDomainError.  That is how a reduced state off the reachable
-    set is rejected.  An operator sandwich that is not a density matrix, and
-    a factorize-and-wait pre-wait state that is not one, raise it too.  On
-    the domain the output passes validate_density.
+    set is rejected.  A factorize-and-wait pre-wait state that is not a
+    density matrix raises it too.  The output itself is not checked: it is
+    a density matrix by construction for every preparation but Mori, whose
+    affine rho0 + sum_i F_i K_i can have negative eigenvalues.
     """
     rho_S = _check_qubit_density(rho_S, "reduced state")
-
-    if isinstance(prep, Equilibrium):
-        state = equilibrium_state(prep.model, invert_field(prep.model, qubit_bloch(rho_S)[2]))
-    elif isinstance(prep, Factorizing):
-        state = kron(rho_S, prep.rho_B)
-    elif isinstance(prep, OperatorSandwich):
-        state, report = operator_sandwich_state(prep.model, prep.Fz, prep.ops)
-        if not report.ok:
-            raise PreparationDomainError(
-                "operator-sandwich configuration does not produce a valid density matrix "
-                f"(hermiticity defect {report.hermiticity_defect:.3e}, trace defect "
-                f"{report.trace_defect:.3e}, min eigenvalue {report.min_eigenvalue:.3e})"
-            )
-    elif isinstance(prep, FactorizeAndWait):
-        sigma0 = prep.G_inv.apply(rho_S)
-        report = validate_density(sigma0)
-        if not report.ok:
-            raise PreparationDomainError(
-                "reduced state lies outside the range of the waiting propagator: "
-                f"pre-wait state has min eigenvalue {report.min_eigenvalue:.3e}"
-            )
-        state = evolve_total(kron(sigma0, prep.rho_B0), prep.h_wait, prep.t0)
-    elif isinstance(prep, MoriLinearResponse):
-        state = mori_blow_up(prep, rho_S)
-    else:
-        raise TypeError(f"unknown preparation {type(prep).__name__}")
-
+    state = prep._total_state(rho_S)
     gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
     if not gap <= TRACE_BACK_ATOL:
         raise PreparationDomainError(

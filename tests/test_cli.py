@@ -209,6 +209,24 @@ class TestMoriCheckAndPechukas:
         assert code == 1
         assert summary_value(err, "chi_matches_fd_bg_0") == "fail"
 
+    @pytest.mark.parametrize("beta_e,beta_g", [("40", "30"), ("1", "800")])
+    def test_mori_check_where_rho0_has_sub_roundoff_eigenvalues(self, capsys, beta_e, beta_g):
+        # rho0's two smallest eigenvalues (1.9e-44 at (40, 30)) are below the
+        # roundoff of its entries: Kubo weights taken from its eigenvalues
+        # gave the wrong chi and a first-order residual
+        code, _, err = run(capsys, "mori-check", f"--beta-e={beta_e}", f"--beta-g={beta_g}")
+        assert code == 0
+        assert summary_value(err, f"chi_matches_fd_bg_{beta_g}") == "pass"
+        assert summary_value(err, f"quadratic_order_bg_{beta_g}") == "pass"
+
+    def test_mori_evolution_of_a_non_positive_blow_up_is_an_input_error(self, capsys):
+        # at (40, 30) the linear-response state of every nonzero field has an
+        # eigenvalue near -1.1e-7: there is no total state to evolve
+        code, out, err = run(capsys, "evolve", "--prep=mori", "--beta-e=40", "--beta-g=30")
+        assert code == 2
+        assert out == ""
+        assert "not a valid density matrix" in err
+
 
 class TestConvexityAndLinearity:
     def test_convexity_uncoupled_passes(self, capsys):

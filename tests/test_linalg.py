@@ -219,6 +219,25 @@ class TestValidateDensity:
         assert math.isnan(report.hermiticity_defect)
         assert math.isnan(report.min_eigenvalue)
 
+    def test_overflowing_hermiticity_defect_reads_inf_without_warning(self):
+        # finite entries whose gap |rho - rho^dagger| is beyond the largest double
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 0], rho[1, 1], rho[0, 1], rho[1, 0] = 1e308, -1e308, 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density(rho)
+            defect = hermiticity_defect(rho)
+            hermitian = is_hermitian(rho)
+        assert report.hermiticity_defect == defect == math.inf
+        assert not hermitian
+        assert not report.ok
+        assert report.min_eigenvalue == -1e308
+
+    def test_finite_hermiticity_defect_is_the_entrywise_maximum(self, rng):
+        for scale in (1e-300, 1.0, 1e300):
+            a = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            assert hermiticity_defect(a) == float(np.abs(a - a.conj().T).max())
+
     @staticmethod
     def _reference(rho):
         # the generic definitions: entrywise |rho - rho^dagger| (as hypot),

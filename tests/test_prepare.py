@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 import spinprep.linalg
 import spinprep.prepare
 from spinprep import (
+    DimensionError,
     DomainError,
     Equilibrium,
     ExtrapolationWarning,
@@ -24,6 +27,7 @@ from spinprep import (
     bloch_decompose,
     equilibrium_observables,
     equilibrium_state,
+    evolve_total,
     hamiltonian,
     invert_field,
     kron,
@@ -34,6 +38,7 @@ from spinprep import (
     partial_trace,
     reduced_from_bloch,
     susceptibility,
+    ValidationError,
     validate_density,
 )
 from spinprep.linalg import DENSITY_EIG_FLOOR, dag, herm_eig
@@ -41,6 +46,7 @@ from spinprep.model import ID2, SX, SZ, ModelParams
 from spinprep.prepare import TRACE_BACK_ATOL, embed_system
 
 from conftest import assert_close, random_density
+from test_model import _REFERENCE_CONTEXT, _decimal_reference
 
 MODEL = ModelParams(1.0, 1.0, 1.5)
 UP = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -291,9 +297,9 @@ class TestOperatorSandwich:
             blow_up(prep, z_state(0.9))
 
     def test_blow_up_invalid_sandwich_rejected(self):
-        prep = OperatorSandwich(MODEL, 0.7, ((SX, ID2),))
+        # the one state is built and checked when the preparation is
         with pytest.raises(PreparationDomainError):
-            blow_up(prep, ID2 / 2)
+            OperatorSandwich(MODEL, 0.7, ((SX, ID2),))
 
 
 def fractional_power(rho, x: float) -> np.ndarray:
@@ -337,13 +343,14 @@ class TestKuboIntegral:
         x = embed_system(SZ)
         mean = np.trace(x @ rho0).real
         expected = model.beta * (x - mean * np.eye(4)) @ rho0
-        assert_close(kubo_integral(rho0, x, beta=model.beta), expected, 1e-13, "commuting Kubo")
+        closed = kubo_integral(hamiltonian(model, 0.0), x, beta=model.beta)
+        assert_close(closed, expected, 1e-13, "commuting Kubo")
 
     def test_traceless_and_hermitian(self, rng):
-        rho0 = equilibrium_state(ModelParams(1.0, 1.0, 1.0), 0.3)
+        h = hamiltonian(ModelParams(1.0, 1.0, 1.0), 0.3)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = x + x.conj().T
-        k = kubo_integral(rho0, x)
+        k = kubo_integral(h, x)
         assert abs(np.trace(k)) < 1e-12
         assert np.abs(k - k.conj().T).max() < 1e-12
 
@@ -351,7 +358,7 @@ class TestKuboIntegral:
         model = ModelParams(1.0, 1.0, 1.0)
         rho0 = equilibrium_state(model, 0.0)
         x = embed_system(SZ)
-        closed = kubo_integral(rho0, x, beta=model.beta)
+        closed = kubo_integral(hamiltonian(model, 0.0), x, beta=model.beta)
         mean = np.trace(x @ rho0).real
         dx = x - mean * np.eye(4)
         nodes = 2000
@@ -363,27 +370,42 @@ class TestKuboIntegral:
         assert np.abs(closed - acc).max() < 1e-8
 
     def test_linear_in_the_observable(self, rng):
-        rho0 = equilibrium_state(ModelParams(1.0, 1.0, 1.0), 0.0)
+        h = hamiltonian(ModelParams(1.0, 1.0, 1.0), 0.0)
         x = embed_system(SZ)
         y = embed_system(SX)
         a, b = 0.7, -1.3
-        combined = kubo_integral(rho0, a * x + b * y)
-        split = a * kubo_integral(rho0, x) + b * kubo_integral(rho0, y)
+        combined = kubo_integral(h, a * x + b * y)
+        split = a * kubo_integral(h, x) + b * kubo_integral(h, y)
         assert_close(combined, split, 1e-12, "Kubo linearity")
 
     def test_kernel_with_vanishing_and_repeated_probabilities(self, rng):
-        # diagonal rho0: element (m, n) is dX_mn (p_m - p_n) / ln(p_m / p_n),
-        # dX_mn p_m where p_m = p_n, and zero where a probability vanishes
-        p = np.array([0.0, 0.25, 0.25, 0.5])
+        # diagonal H with a degenerate pair and a gap of 800: exp(-800)
+        # underflows, so p_3 = 0, yet element (m, 3) is the finite
+        # dX_m3 max(p_m, p_3) (1 - exp(-b)) / b, not zero; dX_mn p_m where
+        # b = 0
+        energies = [0.0, 0.5, 0.5, 800.0]
+        weights = [math.exp(-e) for e in energies]
+        p = np.array(weights) / sum(weights)
+        assert p[3] == 0.0
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = x + x.conj().T
         dx = x - np.trace(x @ np.diag(p)).real * np.eye(4)
         kernel = np.zeros((4, 4))
-        for m, pm in enumerate(p):
-            for n, pn in enumerate(p):
-                if pm > 0.0 and pn > 0.0:
-                    kernel[m, n] = pm if pm == pn else (pm - pn) / math.log(pm / pn)
-        assert_close(kubo_integral(np.diag(p), x), dx * kernel, 1e-15, "Kubo kernel")
+        for m, em in enumerate(energies):
+            for n, en in enumerate(energies):
+                b = abs(em - en)
+                kernel[m, n] = max(p[m], p[n]) * -math.expm1(-b) / b if b else p[m]
+        assert kernel[0, 3] > 1e-4
+        assert_close(kubo_integral(np.diag(energies), x), dx * kernel, 1e-15, "Kubo kernel")
+
+    def test_non_hermitian_inputs_rejected(self):
+        h = hamiltonian(MODEL, 0.0)
+        with pytest.raises(ValidationError):
+            kubo_integral(h, embed_system(SZ) + 1j * np.eye(4))
+        with pytest.raises(ValidationError):
+            kubo_integral(h + 1j * np.eye(4), embed_system(SZ))
+        with pytest.raises(DimensionError):
+            kubo_integral(h, SZ)
 
 
 class TestSusceptibility:
@@ -409,6 +431,27 @@ class TestSusceptibility:
         chi = susceptibility(MODEL, [SZ, SX])
         assert np.abs(chi - chi.T).max() < 1e-10
         assert np.linalg.eigvalsh(chi).min() > 1e-12
+
+    @pytest.mark.parametrize(
+        "beta_e, beta_g",
+        [
+            (1.0, 0.0), (0.6, 0.8), (9.0, 12.0), (12.0, 16.0),
+            (15.0, 20.0), (30.0, 40.0), (40.0, 30.0), (1.0, 800.0),
+        ],
+    )
+    def test_matches_60_digit_derivative(self, beta_e, beta_g):
+        # chi = dS1z/d(beta Fz) at Fz = 0: a central difference of the 60-digit
+        # closed form, whose O(h^2) error is far below double precision.  At
+        # r = hypot(beta_e, beta_g) >= 15 two eigenvalues of rho0 are below
+        # the roundoff of its entries
+        h = 1e-25
+        with decimal.localcontext(_REFERENCE_CONTEXT):
+            plus = _decimal_reference(1.0, beta_e, beta_g, h)[0]
+            minus = _decimal_reference(1.0, beta_e, beta_g, -h)[0]
+            reference = (plus - minus) / (2 * Decimal(h))
+            chi = Decimal(float(susceptibility(ModelParams(1.0, beta_e, beta_g), [SZ])[0, 0]))
+            gap = abs(chi - reference) / reference
+        assert gap <= Decimal("1e-12"), float(gap)
 
     def test_duplicated_observables_singular(self):
         with pytest.raises(NonInvertibleSusceptibilityError) as err:
@@ -456,6 +499,12 @@ class TestMori:
         mixed = mori_blow_up(prep, lam * x + (1 - lam) * y)
         split = lam * mori_blow_up(prep, x) + (1 - lam) * mori_blow_up(prep, y)
         assert np.linalg.norm(mixed - split) < 1e-12
+
+    def test_observables_must_be_hermitian_qubit_operators(self):
+        with pytest.raises(DimensionError):
+            MoriLinearResponse(MODEL, (np.eye(4),))
+        with pytest.raises(ValidationError):
+            MoriLinearResponse(MODEL, (SZ + 1j * SX,))
 
     def test_extrapolation_warning_outside_trust_region(self):
         model = ModelParams(1.0, 1.0, 1.0)
@@ -589,10 +638,18 @@ class TestTraceBackContract:
 
 class TestAffineInvariantsBuiltOnce:
     def test_blow_ups_reuse_construction_invariants(self, monkeypatch):
-        # rho0, K_j and chi (Mori) and G, G^-1 (factorize-and-wait) depend only
-        # on the model: built when the preparation is, never per state
+        # rho0, K_j and chi (Mori), u_wait, G and G^-1 (factorize-and-wait) and
+        # the sandwich state depend only on the model: built when the
+        # preparation is, never per state
+        names = (
+            "kubo_integral",
+            "factorizing_propagator",
+            "invert_propagator",
+            "propagator",
+            "operator_sandwich_state",
+        )
         calls = []
-        for name in ("kubo_integral", "factorizing_propagator", "invert_propagator"):
+        for name in names:
             original = getattr(spinprep.prepare, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -603,12 +660,27 @@ class TestAffineInvariantsBuiltOnce:
         model = ModelParams(1.0, 1.0, 1.0)
         mori = MoriLinearResponse(model, (SZ,))
         faw = FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
-        assert sorted(calls) == ["factorizing_propagator", "invert_propagator", "kubo_integral"]
+        sandwich = OperatorSandwich(model, 0.7, ((UP, UP), (DOWN, DOWN)))
+        assert sorted(calls) == sorted(names)
         calls.clear()
+        own = partial_trace(sandwich.state, keep=0)
         for s1z in np.linspace(-0.9, 0.9, 20):
             blow_up(mori, z_state(0.03 * s1z))
             blow_up(faw, faw.G.apply(z_state(s1z)))
+            blow_up(sandwich, own)
         assert calls == []
-        for stored in (mori.rho0, mori.rho0_S, mori.chi, *mori.kubo, faw.h_wait):
+        for stored in (mori.rho0, mori.rho0_S, mori.chi, *mori.kubo, faw.u_wait, sandwich.state):
             with pytest.raises(ValueError):
                 stored[0, 0] = 0.0  # shared by every later blow-up: read-only
+
+    def test_factorize_and_wait_reruns_the_wait(self):
+        # u_wait (G^-1(rho_S) (x) rho_B0) u_wait^dagger is the evolution of the
+        # pre-wait product state under H(Fz_wait) for t0
+        model = ModelParams(1.0, 1.0, 1.5)
+        rho_b = partial_trace(equilibrium_state(model, 0.4), keep=1)
+        prep = FactorizeAndWait(model, Fz_wait=0.3, t0=1.3, rho_B0=rho_b)
+        h_wait = hamiltonian(model, 0.3)
+        for s1z in np.linspace(-0.9, 0.9, 7):
+            rho_s = prep.G.apply(reduced_from_bloch(np.array([0.2, -0.1, s1z]) * 0.95))
+            direct = evolve_total(kron(prep.G_inv.apply(rho_s), rho_b), h_wait, 1.3)
+            assert_close(blow_up(prep, rho_s), direct, 1e-14, "factorize-and-wait blow-up")

@@ -77,11 +77,11 @@ def test_equilibrium_parity(beta_e, beta_g, beta_fz):
 @given(seeds, st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0))
 def test_kubo_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
-    rho0 = sp.equilibrium_state(ModelParams(1.0, 1.0, 1.0), float(rng.uniform(-1, 1)))
+    h = sp.hamiltonian(ModelParams(1.0, 1.0, 1.0), float(rng.uniform(-1, 1)))
     x = sp.kron(SZ, np.eye(2))
     y = sp.kron(SX, np.eye(2))
-    combined = sp.kubo_integral(rho0, a * x + b * y)
-    split = a * sp.kubo_integral(rho0, x) + b * sp.kubo_integral(rho0, y)
+    combined = sp.kubo_integral(h, a * x + b * y)
+    split = a * sp.kubo_integral(h, x) + b * sp.kubo_integral(h, y)
     assert np.abs(combined - split).max() < 1e-12
 
 
