@@ -78,11 +78,11 @@ def equilibrium_affinity():
 def evolution_fit_residual():
     model = sp.ModelParams(1.0, CANONICAL_BETA_E, 1.5)
     prep = sp.Equilibrium(model)
-    h_evolve = sp.hamiltonian(model, EVOLUTION["evolve_fz"])
+    u = sp.propagator(sp.hamiltonian(model, EVOLUTION["evolve_fz"]), EVOLUTION["time"])
     states = [
         sp.partial_trace(sp.equilibrium_state(model, f), keep=0) for f in EVOLUTION["fz_grid"]
     ]
-    pairs = [(rs, sp.reduced_evolution(prep, h_evolve, rs, EVOLUTION["time"])) for rs in states]
+    pairs = [(rs, sp.reduced_evolution(prep, u, rs)) for rs in states]
     return sp.fit_affine_map(pairs).residual
 
 

@@ -49,7 +49,7 @@ from .diagnostics import (
     linearity_scan,
 )
 from .errors import DomainError, ValidationError
-from .evolve import chebyshev_targets, fit_affine_map, reduced_evolution
+from .evolve import chebyshev_targets, fit_affine_map, propagator, reduced_evolution
 from .linalg import partial_trace
 from .model import (
     SZ,
@@ -313,14 +313,14 @@ def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
 def _run_evolve(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     prep = _make_preparation(cfg, model)
-    h_evolve = hamiltonian(model, cfg["evolve_fz"])
+    u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
     if cfg["prep"] == "mori":
         s1z = np.linspace(-_MORI_S1Z, _MORI_S1Z, max(5, len(cfg["fz_grid"])))
         states = [_z_state(s) for s in s1z]
     else:
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in cfg["fz_grid"]]
         states = _into_range(cfg, prep, states)
-    pairs = [(rho_s, reduced_evolution(prep, h_evolve, rho_s, cfg["time"])) for rho_s in states]
+    pairs = [(rho_s, reduced_evolution(prep, u, rho_s)) for rho_s in states]
     rows = [
         (beta_g, float(qubit_bloch(rho_s)[2]), *(float(x) for x in qubit_bloch(out)))
         for rho_s, out in pairs

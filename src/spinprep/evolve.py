@@ -1,8 +1,9 @@
 """Exact propagation and affine-map machinery for the reduced dynamics.
 
 The total system evolves unitarily, rho(t) = U rho U^dagger with
-U = exp(-i H t) (hbar = 1, time in units of inverse energy).  Reduced
-dynamics under a preparation is the partial trace of the evolved blow-up.
+U = exp(-i H t) (hbar = 1, time in units of inverse energy); propagator
+alone builds U, and everything downstream takes it.  Reduced dynamics
+under a preparation is the partial trace of the evolved blow-up.
 
 Qubit states are handled through their coefficient vector (1, Sx, Sy, Sz),
 where rho = (1 + S.sigma)/2; trace-preserving affine maps on states are then
@@ -30,31 +31,40 @@ _PROPAGATOR_MAX_COND = 1e12
 
 
 def propagator(H, t: float) -> np.ndarray:
-    """U(t) = exp(-i H t) for a Hermitian H."""
-    return matrix_function(H, lambda w: np.exp(-1j * w * t))
+    """U(t) = exp(-i H t) for a Hermitian H.
+
+    A phase w * t that is not finite (an energy times a time beyond the
+    largest double, or a time that is not finite) raises ValidationError.
+    """
+
+    def phase(w: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            wt = w * t
+        if not np.isfinite(wt).all():
+            raise ValidationError(f"phase w*t of exp(-i H t) is not finite at t = {t!r}")
+        return np.exp(-1j * wt)
+
+    return matrix_function(H, phase)
 
 
-def evolve_total(rho, H, t: float) -> np.ndarray:
-    """U rho U^dagger: exact unitary evolution of a total density matrix."""
+def evolve_total(rho, u: np.ndarray) -> np.ndarray:
+    """u rho u^dagger: exact unitary evolution of a total density matrix."""
     rho = require_density(rho, "state")
-    H = as_operator(H)
-    if H.shape != rho.shape:
-        raise DimensionError(f"Hamiltonian shape {H.shape} does not match state {rho.shape}")
-    u = propagator(H, t)
+    if u.shape != rho.shape:
+        raise DimensionError(f"propagator shape {u.shape} does not match state {rho.shape}")
     return u @ rho @ dag(u)
 
 
-def reduced_evolution(prep, H, rho_S, t: float) -> np.ndarray:
-    """Reduced state at time t: Tr_env U(t) R(rho_S) U^dagger(t).
+def reduced_evolution(prep, u: np.ndarray, rho_S) -> np.ndarray:
+    """Reduced state Tr_env u R(rho_S) u^dagger for the propagator u = U(t).
 
-    The preparation supplies the blow-up map R; H governs the evolution and
-    need not equal the preparation's Hamiltonian (fields used to prepare are
-    typically switched off before the evolution starts).
+    The preparation supplies the blow-up map R; u need not come from the
+    preparation's Hamiltonian (fields used to prepare are typically switched
+    off before the evolution starts).
     """
     from .prepare import blow_up  # deferred: prepare builds on this module
 
-    total = blow_up(prep, rho_S)
-    return partial_trace(evolve_total(total, H, t), keep=0)
+    return partial_trace(evolve_total(blow_up(prep, rho_S), u), keep=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +101,14 @@ class ReducedAffineMap:
         return ReducedAffineMap(np.eye(3), np.zeros(3))
 
 
-def factorizing_propagator(H, rho_B0, t: float) -> ReducedAffineMap:
-    """The reduced propagator G_t of the factorizing preparation.
+def factorizing_propagator(u: np.ndarray, rho_B0) -> ReducedAffineMap:
+    """The reduced propagator G_t of the factorizing preparation, for u = U(t).
 
-    G_t(rho_S) = Tr_env U(t) (rho_S (x) rho_B0) U^dagger(t) is affine in
-    rho_S; its Bloch matrix and offset are read off by propagating the four
-    basis operators {1/2, sigma_x/2, sigma_y/2, sigma_z/2} (x) rho_B0.
+    G_t(rho_S) = Tr_env u (rho_S (x) rho_B0) u^dagger is affine in rho_S;
+    its Bloch matrix and offset are read off by propagating the four basis
+    operators {1/2, sigma_x/2, sigma_y/2, sigma_z/2} (x) rho_B0.
     """
-    H = as_operator(H)
     rho_B0 = require_density(rho_B0, "rho_B0")
-    u = propagator(H, t)
 
     def reduced_image(system_op: np.ndarray) -> np.ndarray:
         total = kron(system_op, rho_B0)

@@ -132,7 +132,8 @@ def herm_eig(a) -> SpectralData:
             f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|A|)"
         )
-    w, v = np.linalg.eigh(0.5 * (a + dag(a)))
+    # halved before the sum, which cannot overflow for finite entries
+    w, v = np.linalg.eigh(0.5 * a + 0.5 * dag(a))
     # Columns are unit vectors, so the largest component is never zero.
     z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     return SpectralData(w, v * (np.conj(z) / np.abs(z)))
@@ -175,15 +176,23 @@ def validate_density(rho) -> DensityReport:
     rho = as_operator(rho)
     if rho.shape == (2, 2):
         (a, b), (c, d) = rho.tolist()
+        # every modulus |z| is hypot(z.real, z.imag), written out: abs(complex)
+        # raises OverflowError where hypot returns inf
+        hypot = math.hypot
+        ga, gb, gd = a - a.conjugate(), b - c.conjugate(), d - d.conjugate()
         # the entrywise max |rho - rho^dagger| ((1, 0) mirrors (0, 1)), NaN
         # when any gap is NaN, as numpy's max on the larger path
-        gaps = (abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+        gaps = (hypot(ga.real, ga.imag), hypot(gb.real, gb.imag), hypot(gd.real, gd.imag))
         h_defect = math.nan if math.isnan(sum(gaps)) else max(gaps)
-        hermitian = _hermitian_within_tol(h_defect, max(abs(a), abs(b), abs(c), abs(d)))
-        t_defect = abs(a + d - 1.0)
+        scale = max(hypot(a.real, a.imag), hypot(b.real, b.imag))
+        scale = max(scale, hypot(c.real, c.imag), hypot(d.real, d.imag))
+        hermitian = _hermitian_within_tol(h_defect, scale)
+        trace = a + d
+        t_defect = hypot(trace.real - 1.0, trace.imag)
         if all(map(cmath.isfinite, (a, b, c, d))):
             p, q = a.real, d.real
-            min_eig = 0.5 * (p + q) - math.hypot(0.5 * (p - q), abs(0.5 * (b + c.conjugate())))
+            h = 0.5 * (b + c.conjugate())
+            min_eig = 0.5 * (p + q) - hypot(0.5 * (p - q), hypot(h.real, h.imag))
         else:
             min_eig = math.nan
     else:

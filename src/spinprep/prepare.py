@@ -126,10 +126,10 @@ class OperatorSandwich:
 class FactorizeAndWait:
     """Factorize at -t0, evolve with the waiting Hamiltonian, prepare at 0.
 
-    Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0),
-    the reduced waiting propagator G and its affine inverse G_inv once; it
-    raises NonInvertiblePropagatorError when G cannot be inverted.  A blow-up
-    checks the pre-wait state sigma0 = G_inv(rho_S) and returns
+    Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0)
+    once, reads the reduced waiting propagator G off it and inverts G to
+    G_inv; it raises NonInvertiblePropagatorError when G cannot be inverted.
+    A blow-up checks the pre-wait state sigma0 = G_inv(rho_S) and returns
     u_wait (sigma0 (x) rho_B0) u_wait^dagger.
     """
 
@@ -145,9 +145,9 @@ class FactorizeAndWait:
         if not self.t0 > 0.0:
             raise ValueError(f"waiting time t0 must be positive, got {self.t0}")
         _check_qubit_density(self.rho_B0, "rho_B0")
-        h_wait = hamiltonian(self.model, self.Fz_wait)
-        g_map = factorizing_propagator(h_wait, self.rho_B0, self.t0)
-        object.__setattr__(self, "u_wait", _frozen(propagator(h_wait, self.t0)))
+        u_wait = _frozen(propagator(hamiltonian(self.model, self.Fz_wait), self.t0))
+        g_map = factorizing_propagator(u_wait, self.rho_B0)
+        object.__setattr__(self, "u_wait", u_wait)
         object.__setattr__(self, "G", g_map)
         object.__setattr__(self, "G_inv", invert_propagator(g_map))
 

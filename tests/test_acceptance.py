@@ -194,7 +194,7 @@ def test_07_trace_back_for_every_preparation():
     worst["operator-sandwich"] = max(gaps)
 
     prep = sp.FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=rho_b)
-    g_map = sp.factorizing_propagator(sp.hamiltonian(model, 0.0), rho_b, 0.7)
+    g_map = sp.factorizing_propagator(sp.propagator(sp.hamiltonian(model, 0.0), 0.7), rho_b)
     worst["factorize-and-wait"] = max(
         np.linalg.norm(sp.partial_trace(sp.blow_up(prep, g_map.apply(z_state(s))), 0)
                        - g_map.apply(z_state(s)))
@@ -228,7 +228,7 @@ def test_08_affinity_of_special_preparations():
     fac_defect = sp.affinity_defect(lambda r: sp.blow_up(fac, r), fac_samples, lams)
 
     fw = sp.FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=rho_b)
-    g_map = sp.factorizing_propagator(sp.hamiltonian(model, 0.0), rho_b, 0.7)
+    g_map = sp.factorizing_propagator(sp.propagator(sp.hamiltonian(model, 0.0), 0.7), rho_b)
     fw_samples = [g_map.apply(z_state(s)) for s in sp.chebyshev_targets(5, -0.9, 0.9)]
     fw_defect = sp.affinity_defect(lambda r: sp.blow_up(fw, r), fw_samples, lams)
 
@@ -247,18 +247,18 @@ def test_08_affinity_of_special_preparations():
 
 def test_09_reduced_evolution_nonlinear_only_for_equilibrium(baselines):
     model = ModelParams(1.0, 1.0, 1.5)
-    h = sp.hamiltonian(model, 0.0)
+    u = sp.propagator(sp.hamiltonian(model, 0.0), 1.0)
     states = [
         sp.partial_trace(sp.equilibrium_state(model, f), keep=0) for f in (-2, -1, 0, 1, 2)
     ]
 
-    eq_pairs = [(rs, sp.reduced_evolution(sp.Equilibrium(model), h, rs, 1.0)) for rs in states]
+    eq_pairs = [(rs, sp.reduced_evolution(sp.Equilibrium(model), u, rs)) for rs in states]
     eq_res = sp.fit_affine_map(eq_pairs).residual
     frozen = baselines["evolution_fit_residual_bg_1.5"]
 
     rho_b = sp.partial_trace(sp.equilibrium_state(model, 0.0), keep=1)
     fac_pairs = [
-        (rs, sp.reduced_evolution(sp.Factorizing(rho_b), h, rs, 1.0)) for rs in states
+        (rs, sp.reduced_evolution(sp.Factorizing(rho_b), u, rs)) for rs in states
     ]
     fac_res = sp.fit_affine_map(fac_pairs).residual
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import spinprep.cli
+import spinprep.evolve
 import spinprep.prepare
 from spinprep import equilibrium_observables
 from spinprep.cli import _fmt, _write_csv, main
@@ -166,6 +168,59 @@ class TestEvolve:
         )
         assert code == 1
         assert summary_value(err, "evolution_fit_equilibrium_bg_0") == "fail"
+
+    @pytest.mark.parametrize("prep", ["equilibrium", "factorizing", "mori", "factorize-and-wait"])
+    def test_one_propagator_per_coupling(self, capsys, monkeypatch, prep):
+        # every state of a coupling shares one U = exp(-i H t); a
+        # factorize-and-wait preparation builds one more, its u_wait
+        calls = []
+        for module in (spinprep.cli, spinprep.evolve, spinprep.prepare):
+            original = module.propagator
+
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "propagator", counting)
+        code, _, _ = run(capsys, "evolve", f"--prep={prep}", "--beta-g=0.5,1.5")
+        assert code == 0
+        assert len(calls) == 2 * (2 if prep == "factorize-and-wait" else 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--time=1e308"),
+            ("evolve", "--prep=factorize-and-wait", "--t0=1e308"),
+            ("affinity", "--prep=factorize-and-wait", "--t0=1e308"),
+        ],
+        ids=["evolve-time", "evolve-t0", "affinity-t0"],
+    )
+    def test_overflowing_phase_is_an_input_error(self, capsys, argv):
+        # each energy times 1e308 overflows: an error where H meets t, with
+        # no CSV and no RuntimeWarning
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spinprep: ") and "not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--prep=factorizing", "--evolve-fz=1e308"),
+            ("affinity", "--prep=factorize-and-wait", "--beta-g=1e308"),
+        ],
+        ids=["evolve-fz", "affinity-beta-g"],
+    )
+    def test_hamiltonian_near_the_largest_double_runs(self, capsys, argv):
+        # its Hermitian part is formed without overflow, so the eigensolver
+        # converges and every CSV value is finite
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        _, *rows = out.splitlines()
+        assert rows
+        for row in rows:
+            values = row.split(",")[1:] if argv[0] == "affinity" else row.split(",")
+            assert all(math.isfinite(float(v)) for v in values), row
 
 
 class TestMoriCheckAndPechukas:

@@ -17,6 +17,7 @@ from spinprep import (
     invert_propagator,
     kron,
     partial_trace,
+    propagator,
     qubit_bloch,
     reduced_evolution,
     reduced_from_bloch,
@@ -31,22 +32,33 @@ def z_state(s1z):
     return reduced_from_bloch(np.array([0.0, 0.0, s1z]))
 
 
+class TestPropagator:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan])
+    def test_non_finite_phase_rejected(self, t):
+        # w * t overflows (or is inf * 0, or NaN): a ValidationError where H
+        # meets t, not a RuntimeWarning and a unitary of NaNs
+        h = hamiltonian(ModelParams(1.0, 1.0, 1.5), 0.0)
+        with pytest.raises(ValidationError, match="not finite"):
+            propagator(h, t)
+
+
 class TestEvolveTotal:
     def test_zero_time(self, rng):
         rho = random_density(rng, 4)
         h = random_hermitian(rng, 4)
-        assert_close(evolve_total(rho, h, 0.0), rho, 1e-13, "t = 0")
+        assert_close(evolve_total(rho, propagator(h, 0.0)), rho, 1e-13, "t = 0")
 
     def test_equilibrium_is_stationary(self):
         model = ModelParams(1.0, 1.0, 1.0)
         rho = equilibrium_state(model, 0.8)
         h = hamiltonian(model, 0.8)
-        assert_close(evolve_total(rho, h, 2.3), rho, 1e-12, "canonical stationarity")
+        assert_close(evolve_total(rho, propagator(h, 2.3)), rho, 1e-12, "canonical stationarity")
 
     def test_spectrum_preserved(self, rng):
         rho = random_density(rng, 4)
         h = random_hermitian(rng, 4)
-        out = evolve_total(rho, h, 1.4)
+        out = evolve_total(rho, propagator(h, 1.4))
         assert_close(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), 1e-12, "unitary invariance"
         )
@@ -54,7 +66,7 @@ class TestEvolveTotal:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            evolve_total(random_density(rng, 4), random_hermitian(rng, 2), 1.0)
+            evolve_total(random_density(rng, 4), propagator(random_hermitian(rng, 2), 1.0))
 
 
 class TestReducedEvolution:
@@ -62,7 +74,7 @@ class TestReducedEvolution:
         model = ModelParams(1.0, 1.0, 1.5)
         prep = Equilibrium(model)
         rho_s = z_state(0.6)
-        out = reduced_evolution(prep, hamiltonian(model, 0.0), rho_s, 0.0)
+        out = reduced_evolution(prep, propagator(hamiltonian(model, 0.0), 0.0), rho_s)
         assert_close(out, rho_s, 1e-10, "trace-back at t = 0")
 
     def test_state_moves_when_field_is_switched_off(self):
@@ -71,7 +83,7 @@ class TestReducedEvolution:
         model = ModelParams(1.0, 1.0, 1.0)
         prep = Equilibrium(model)
         rho_s = z_state(0.5)
-        out = reduced_evolution(prep, hamiltonian(model, 0.0), rho_s, 1.0)
+        out = reduced_evolution(prep, propagator(hamiltonian(model, 0.0), 1.0), rho_s)
         assert np.linalg.norm(qubit_bloch(out) - qubit_bloch(rho_s)) > 1e-3
 
     def test_uncoupled_factorizing_is_precession(self):
@@ -80,9 +92,9 @@ class TestReducedEvolution:
         model = ModelParams(1.0, 1.0, 0.0)
         fz, t = 0.9, 1.3
         prep = Factorizing(ID2 / 2)
-        h = hamiltonian(model, fz)
+        u = propagator(hamiltonian(model, fz), t)
         s_in = np.array([0.4, -0.1, 0.3])
-        out = reduced_evolution(prep, h, reduced_from_bloch(s_in), t)
+        out = reduced_evolution(prep, u, reduced_from_bloch(s_in))
         s_out = qubit_bloch(out)
         assert abs(np.linalg.norm(s_out) - np.linalg.norm(s_in)) < 1e-12
         angle = 2.0 * fz * t
@@ -101,37 +113,38 @@ class TestReducedEvolution:
         h = hamiltonian(model, 0.0)
         for s1z in (-0.9, 0.2, 0.7):
             for t in (0.3, 1.0, 2.5):
-                out = reduced_evolution(prep, h, z_state(s1z), t)
+                out = reduced_evolution(prep, propagator(h, t), z_state(s1z))
                 assert np.trace(out @ out).real <= 1.0 + 1e-10
 
 
 class TestFactorizingPropagator:
     def test_zero_time_identity(self, rng):
-        g_map = factorizing_propagator(random_hermitian(rng, 4), random_density(rng, 2), 0.0)
+        u = propagator(random_hermitian(rng, 4), 0.0)
+        g_map = factorizing_propagator(u, random_density(rng, 2))
         assert_close(g_map.bloch, np.eye(3), 1e-13, "identity Bloch block")
         assert np.abs(g_map.offset).max() < 1e-13
 
     def test_matches_direct_evolution(self, rng):
         model = ModelParams(1.0, 1.0, 1.0)
-        h = hamiltonian(model, 0.3)
+        u = propagator(hamiltonian(model, 0.3), 0.7)
         rho_b = random_density(rng, 2)
-        g_map = factorizing_propagator(h, rho_b, 0.7)
+        g_map = factorizing_propagator(u, rho_b)
         for _ in range(10):
             rho_s = random_density(rng, 2)
-            direct = partial_trace(evolve_total(kron(rho_s, rho_b), h, 0.7), keep=0)
+            direct = partial_trace(evolve_total(kron(rho_s, rho_b), u), keep=0)
             assert np.linalg.norm(g_map.apply(rho_s) - direct) < 1e-12
 
     def test_applied_to_maximally_mixed(self):
         model = ModelParams(1.0, 1.0, 1.0)
-        h = hamiltonian(model, 0.3)
-        g_map = factorizing_propagator(h, ID2 / 2, 0.7)
-        direct = partial_trace(evolve_total(kron(ID2 / 2, ID2 / 2), h, 0.7), keep=0)
+        u = propagator(hamiltonian(model, 0.3), 0.7)
+        g_map = factorizing_propagator(u, ID2 / 2)
+        direct = partial_trace(evolve_total(kron(ID2 / 2, ID2 / 2), u), keep=0)
         assert np.linalg.norm(g_map.apply(ID2 / 2) - direct) < 1e-12
 
     def test_uncoupled_rotation_block(self):
         model = ModelParams(1.0, 1.0, 0.0)
         fz, t = 0.9, 1.3
-        g_map = factorizing_propagator(hamiltonian(model, fz), ID2 / 2, t)
+        g_map = factorizing_propagator(propagator(hamiltonian(model, fz), t), ID2 / 2)
         angle = 2.0 * fz * t
         rot = np.array(
             [
@@ -152,7 +165,7 @@ class TestInvertPropagator:
 
     def test_composition_is_identity(self):
         model = ModelParams(1.0, 1.0, 1.0)
-        g_map = factorizing_propagator(hamiltonian(model, 0.0), ID2 / 2, 0.7)
+        g_map = factorizing_propagator(propagator(hamiltonian(model, 0.0), 0.7), ID2 / 2)
         composed = invert_propagator(g_map).compose(g_map)
         assert np.abs(composed.bloch - np.eye(3)).max() < 1e-10
         assert np.abs(composed.offset).max() < 1e-10
@@ -218,25 +231,25 @@ class TestFitAffineMap:
     def test_factorizing_evolution_is_affine(self, rng):
         model = ModelParams(1.0, 1.0, 1.5)
         prep = Factorizing(random_density(rng, 2))
-        h = hamiltonian(model, 0.0)
+        u = propagator(hamiltonian(model, 0.0), 1.0)
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in (-2, -1, 0, 1, 2)]
-        pairs = [(s, reduced_evolution(prep, h, s, 1.0)) for s in states]
+        pairs = [(s, reduced_evolution(prep, u, s)) for s in states]
         assert fit_affine_map(pairs).residual < 1e-11
 
     def test_mori_evolution_is_linear(self):
         model = ModelParams(1.0, 1.0, 1.0)
         prep = MoriLinearResponse(model, (SZ,))
-        h = hamiltonian(model, 0.0)
+        u = propagator(hamiltonian(model, 0.0), 1.0)
         states = [z_state(s) for s in np.linspace(-0.05, 0.05, 7)]
-        pairs = [(s, reduced_evolution(prep, h, s, 1.0)) for s in states]
+        pairs = [(s, reduced_evolution(prep, u, s)) for s in states]
         assert fit_affine_map(pairs).residual < 1e-10
 
     def test_equilibrium_evolution_is_nonlinear(self, baselines):
         model = ModelParams(1.0, 1.0, 1.5)
         prep = Equilibrium(model)
-        h = hamiltonian(model, 0.0)
+        u = propagator(hamiltonian(model, 0.0), 1.0)
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in (-2, -1, 0, 1, 2)]
-        pairs = [(s, reduced_evolution(prep, h, s, 1.0)) for s in states]
+        pairs = [(s, reduced_evolution(prep, u, s)) for s in states]
         residual = fit_affine_map(pairs).residual
         frozen = baselines["evolution_fit_residual_bg_1.5"]
         assert residual > 0.0
@@ -246,11 +259,11 @@ class TestFitAffineMap:
         # an approximately linear regime survives around S1z = 0
         model = ModelParams(1.0, 1.0, 1.5)
         prep = Equilibrium(model)
-        h = hamiltonian(model, 0.0)
+        u = propagator(hamiltonian(model, 0.0), 1.0)
 
         def window_residual(s_max):
             states = [z_state(s) for s in np.linspace(-s_max, s_max, 5)]
-            pairs = [(s, reduced_evolution(prep, h, s, 1.0)) for s in states]
+            pairs = [(s, reduced_evolution(prep, u, s)) for s in states]
             return fit_affine_map(pairs).residual
 
         wide = window_residual(0.8)

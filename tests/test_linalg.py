@@ -134,6 +134,14 @@ class TestHermEig:
             with pytest.raises(ValidationError):
                 herm_eig(a)
 
+    def test_hermitian_part_does_not_overflow(self):
+        # A + A^dagger overflows for g = 1e308; A/2 + A^dagger/2 is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = herm_eig(hamiltonian(ModelParams(1.0, 1.0, 1e308), 0.0))
+        assert_close(w / 1e308, [-1.0, -1.0, 1.0, 1.0], 1e-15, "eigenvalues / 1e308")
+        assert np.isfinite(v).all()
+
     def test_against_lapack(self, rng):
         for n in (2, 3, 4, 5):
             a = random_hermitian(rng, n)
@@ -232,6 +240,23 @@ class TestValidateDensity:
         assert not hermitian
         assert not report.ok
         assert report.min_eigenvalue == -1e308
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[0.5, np.inf], [0.0, 0.5]],
+            [[0.5, complex(0.0, np.nan)], [0.0, 0.5]],
+            # finite entries whose moduli (and gaps) are beyond the largest double
+            [[0.5, 1.5e308 + 1.5e308j], [-1.5e308 - 1.5e308j, 0.5]],
+        ],
+    )
+    def test_non_finite_qubit_input_is_not_ok_without_warning(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density(np.array(rho, dtype=complex))
+        assert not report.ok
+        assert not report.hermiticity_defect < math.inf
 
     def test_finite_hermiticity_defect_is_the_entrywise_maximum(self, rng):
         for scale in (1e-300, 1.0, 1e300):

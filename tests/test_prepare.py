@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spinprep.evolve
 import spinprep.linalg
 import spinprep.prepare
 from spinprep import (
@@ -36,6 +37,7 @@ from spinprep import (
     mori_fields,
     operator_sandwich_state,
     partial_trace,
+    propagator,
     reduced_from_bloch,
     susceptibility,
     ValidationError,
@@ -549,11 +551,10 @@ class TestFactorizeAndWait:
 
     def test_trace_back_inside_range(self):
         from spinprep import factorizing_propagator
-        from spinprep.model import hamiltonian
 
         model = ModelParams(1.0, 1.0, 1.0)
         prep = FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
-        g_map = factorizing_propagator(hamiltonian(model, 0.0), ID2 / 2, 0.7)
+        g_map = factorizing_propagator(propagator(hamiltonian(model, 0.0), 0.7), ID2 / 2)
         for s1z in np.linspace(-0.9, 0.9, 11):
             rho_s = g_map.apply(z_state(s1z))  # in range by construction
             total = blow_up(prep, rho_s)
@@ -640,7 +641,9 @@ class TestAffineInvariantsBuiltOnce:
     def test_blow_ups_reuse_construction_invariants(self, monkeypatch):
         # rho0, K_j and chi (Mori), u_wait, G and G^-1 (factorize-and-wait) and
         # the sandwich state depend only on the model: built when the
-        # preparation is, never per state
+        # preparation is, never per state.  propagator is counted in both
+        # namespaces: G is read off u_wait, so construction makes one
+        # exp(-i H t0), not a second one inside factorizing_propagator
         names = (
             "kubo_integral",
             "factorizing_propagator",
@@ -648,15 +651,16 @@ class TestAffineInvariantsBuiltOnce:
             "propagator",
             "operator_sandwich_state",
         )
+        targets = [(spinprep.prepare, name) for name in names] + [(spinprep.evolve, "propagator")]
         calls = []
-        for name in names:
-            original = getattr(spinprep.prepare, name)
+        for module, name in targets:
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(spinprep.prepare, name, counting)
+            monkeypatch.setattr(module, name, counting)
         model = ModelParams(1.0, 1.0, 1.0)
         mori = MoriLinearResponse(model, (SZ,))
         faw = FactorizeAndWait(model, Fz_wait=0.0, t0=0.7, rho_B0=ID2 / 2)
@@ -679,8 +683,8 @@ class TestAffineInvariantsBuiltOnce:
         model = ModelParams(1.0, 1.0, 1.5)
         rho_b = partial_trace(equilibrium_state(model, 0.4), keep=1)
         prep = FactorizeAndWait(model, Fz_wait=0.3, t0=1.3, rho_B0=rho_b)
-        h_wait = hamiltonian(model, 0.3)
+        u_wait = propagator(hamiltonian(model, 0.3), 1.3)
         for s1z in np.linspace(-0.9, 0.9, 7):
             rho_s = prep.G.apply(reduced_from_bloch(np.array([0.2, -0.1, s1z]) * 0.95))
-            direct = evolve_total(kron(prep.G_inv.apply(rho_s), rho_b), h_wait, 1.3)
+            direct = evolve_total(kron(prep.G_inv.apply(rho_s), rho_b), u_wait)
             assert_close(blow_up(prep, rho_s), direct, 1e-14, "factorize-and-wait blow-up")

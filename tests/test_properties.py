@@ -111,11 +111,11 @@ def test_factorizing_reduced_evolution_is_affine(seed, t):
     rng = np.random.default_rng(seed)
     model = ModelParams(1.0, 1.0, 1.0)
     prep = sp.Factorizing(random_density(rng, 2))
-    h = sp.hamiltonian(model, 0.0)
+    u = sp.propagator(sp.hamiltonian(model, 0.0), t)
     pairs = []
     for _ in range(6):
         rho = random_density(rng, 2)
-        pairs.append((rho, sp.reduced_evolution(prep, h, rho, t)))
+        pairs.append((rho, sp.reduced_evolution(prep, u, rho)))
     assert sp.fit_affine_map(pairs).residual < 1e-11
 
 
@@ -124,8 +124,8 @@ def test_factorizing_reduced_evolution_is_affine(seed, t):
 def test_evolution_preserves_trace_and_purity_bound(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 4)
-    h = random_hermitian(rng, 4)
-    out = sp.evolve_total(rho, h, float(rng.uniform(0, 3)))
+    u = sp.propagator(random_hermitian(rng, 4), float(rng.uniform(0, 3)))
+    out = sp.evolve_total(rho, u)
     assert abs(np.trace(out) - 1.0) < 1e-12
     reduced = sp.partial_trace(out, keep=0)
     assert np.trace(reduced @ reduced).real <= 1.0 + 1e-10
