@@ -343,6 +343,12 @@ def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]
     for beta_f in (0.02, 0.01):
         rho = equilibrium_state(model, beta_f)
         residuals.append(float(np.linalg.norm(blow_up(prep, partial_trace(rho, keep=0)) - rho)))
+    if residuals[1] == 0.0:
+        raise DomainError(
+            f"mori-check at beta_g = {_fmt(beta_g)}: the Mori residual at beta_F = 0.01 "
+            "is exactly 0, so the quadratic order (the ratio of the two residuals) is "
+            "undefined at this coupling"
+        )
     ratio = residuals[0] / residuals[1]
     if beta_g == 0.0:
         # uncoupled, the Mori blow-up is exact: both residuals are roundoff

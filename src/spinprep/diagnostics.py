@@ -187,8 +187,8 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
                     f"map domain violated at the convex combination lambda={lam} "
                     f"of samples {i} and {j}: {err}"
                 ) from err
-            defect = np.linalg.norm(image - lam * images[i] - (1.0 - lam) * images[j])
-            worst = max(worst, float(defect))
+            diff = image - lam * images[i] - (1.0 - lam) * images[j]
+            worst = max(worst, math.sqrt(np.vdot(diff, diff).real))  # Frobenius norm
     return worst
 
 

@@ -186,17 +186,26 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
         Czz = (cosh(x) - cosh(y)) / (cosh(x) + cosh(y))
 
     The half-difference (x - y)/2 = beta (|E3| - |E1|)/2 is formed as
-    beta Fz 2e / (|E1| + |E3|), since |E3|^2 - |E1|^2 = 4 Fz e: no two
-    rounded energies are subtracted, and S1z moves smoothly with the field
-    even where beta |e| is large.  All other Bloch/correlation components of
-    the equilibrium state vanish.
+    beta Fz e / r_mean with r_mean = (|E1| + |E3|)/2, since
+    |E3|^2 - |E1|^2 = 4 Fz e: no two rounded energies are subtracted, and
+    S1z moves smoothly with the field even where beta |e| is large.  Halving
+    each energy before the sum keeps r_mean finite wherever both energies
+    are (2e / (|E1| + |E3|) is inf / inf = nan at e = 1e308).  An energy
+    beta |E_i| beyond the largest double has no closed form here and raises
+    DomainError.  All other Bloch/correlation components of the equilibrium
+    state vanish.
     """
     beta, e, g = p.beta, p.e, p.g
     r_minus = math.hypot(Fz - e, g)
     r_plus = math.hypot(Fz + e, g)
-    r_sum = r_minus + r_plus  # >= 2|e|, and 0 only at e = g = Fz = 0
-    d = beta * Fz * (2.0 * e / r_sum) if r_sum else 0.0
-    f_plus, f_minus, czz = _equilibrium_kernel(-beta * r_minus, -beta * r_plus, d)
+    x, y = -beta * r_minus, -beta * r_plus
+    if not (x > -math.inf and y > -math.inf):
+        raise DomainError(
+            f"beta times an energy overflows at beta = {beta}, e = {e}, g = {g}, Fz = {Fz}"
+        )
+    r_mean = 0.5 * r_minus + 0.5 * r_plus  # >= |e|, and 0 only at e = g = Fz = 0
+    d = beta * Fz * (e / r_mean) if r_mean else 0.0
+    f_plus, f_minus, czz = _equilibrium_kernel(x, y, d)
     return EquilibriumCurvePoint(
         beta * Fz,
         beta * (Fz * f_plus - e * f_minus),
@@ -260,10 +269,8 @@ def qubit_bloch(rho) -> np.ndarray:
 
 def reduced_from_bloch_unchecked(s) -> np.ndarray:
     """(1 + S.sigma)/2 without the |S| <= 1 check (affine maps may leave the ball)."""
-    rho = ID2.copy()
-    for i in range(3):
-        rho = rho + s[i] * PAULIS[i]
-    return 0.5 * rho
+    x, y, z = s
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def reduced_from_bloch(s1) -> np.ndarray:

@@ -50,7 +50,7 @@ from .linalg import (
     require_density,
     validate_density,
 )
-from .model import CORR, ID2, ID4, SIGMA1, SIGMA2, ModelParams, equilibrium_observables
+from .model import ID2, ModelParams, equilibrium_observables
 from .model import hamiltonian, qubit_bloch
 
 # How closely a reduced state must sit on a preparation's reachable manifold.
@@ -174,7 +174,10 @@ class MoriLinearResponse:
     rho0_S, the Kubo operators kubo[j] of the observables and the
     susceptibility chi once, with chi's symmetry and condition checks; it
     raises NonInvertibleSusceptibilityError when chi cannot be inverted (for
-    instance for a repeated observable).
+    instance for a repeated observable).  It then stores what mori_fields
+    needs per state: chi_inv, the Bloch rows bloch_rows[j] = qubit_bloch(X_j)/2
+    of the observables (tr(X_j delta) = bloch_rows[j] . ds for a traceless
+    Hermitian delta with Bloch vector ds) and s0 = qubit_bloch(rho0_S).
     """
 
     model: ModelParams
@@ -184,6 +187,9 @@ class MoriLinearResponse:
     rho0_S: np.ndarray = field(init=False, repr=False)
     kubo: tuple = field(init=False, repr=False)
     chi: np.ndarray = field(init=False, repr=False)
+    chi_inv: np.ndarray = field(init=False, repr=False)
+    bloch_rows: np.ndarray = field(init=False, repr=False)
+    s0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.observables) == 0:
@@ -205,10 +211,15 @@ class MoriLinearResponse:
             raise NonInvertibleSusceptibilityError(
                 f"susceptibility matrix is not invertible (condition number {cond:.3e})", cond
             )
+        rho0_S = partial_trace(rho0, keep=0)
         object.__setattr__(self, "rho0", _frozen(rho0))
-        object.__setattr__(self, "rho0_S", _frozen(partial_trace(rho0, keep=0)))
+        object.__setattr__(self, "rho0_S", _frozen(rho0_S))
         object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
         object.__setattr__(self, "chi", _frozen(chi))
+        object.__setattr__(self, "chi_inv", _frozen(np.linalg.inv(chi)))
+        rows = np.array([0.5 * qubit_bloch(x) for x in self.observables])
+        object.__setattr__(self, "bloch_rows", _frozen(rows))
+        object.__setattr__(self, "s0", _frozen(qubit_bloch(rho0_S)))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return mori_blow_up(self, rho_S)
@@ -230,12 +241,25 @@ def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
 
     The state is 1/4 (1 + S1z sz1 + S2z sz2 + Cxx sx sx + Cyy sy sy + Czz sz sz)
     with the components of equilibrium_observables, which are overflow-safe
-    for any field; no eigensolver is involved.
+    for any field; no eigensolver is involved.  In the basis |up,up>,
+    |up,down>, |down,up>, |down,down> it has eight non-zero entries:
+    1/4 (1 +- S1z +- S2z +- Czz) on the diagonal, and 1/4 (Cxx -+ Cyy) on the
+    anti-diagonal of the even (odd) parity sector.  Each entry is summed in
+    the order of the operator sum above, so the result is bit-identical to
+    it.
     """
     p = equilibrium_observables(model, Fz)
-    return 0.25 * (
-        ID4 + p.S1z * SIGMA1[2] + p.S2z * SIGMA2[2]
-        + p.Cxx * CORR[0][0] + p.Cyy * CORR[1][1] + p.Czz * CORR[2][2]
+    up, down = 1.0 + p.S1z, 1.0 - p.S1z
+    # 0.0 + Cxx: the operator sum adds Cxx to a zero entry, which turns -0 into +0
+    even, odd = 0.25 * (0.0 + p.Cxx - p.Cyy), 0.25 * (0.0 + p.Cxx + p.Cyy)
+    return np.array(
+        [
+            [0.25 * (up + p.S2z + p.Czz), 0.0, 0.0, even],
+            [0.0, 0.25 * (up - p.S2z - p.Czz), odd, 0.0],
+            [0.0, odd, 0.25 * (down + p.S2z - p.Czz), 0.0],
+            [even, 0.0, 0.0, 0.25 * (down - p.S2z + p.Czz)],
+        ],
+        dtype=complex,
     )
 
 
@@ -348,12 +372,15 @@ def kubo_integral(H, X, beta: float = 1.0) -> np.ndarray:
         raise ValidationError("X must be Hermitian")
 
     w, v = herm_eig(H)
-    p = np.exp(-beta * (w - w[0]))  # ascending energies: w[0] is the ground
+    # a gap beyond the largest double reads inf: its weight p, and its kernel
+    # (1 - exp(-b)) / b, are then exactly 0, the b -> inf limit
+    with np.errstate(over="ignore"):
+        p = np.exp(-beta * (w - w[0]))  # ascending energies: w[0] is the ground
+        b = beta * np.abs(w[:, None] - w[None, :])
     p /= p.sum()
     x_eig = dag(v) @ X @ v
     dx_eig = x_eig - float(p @ x_eig.diagonal().real) * np.eye(len(w))
 
-    b = beta * np.abs(w[:, None] - w[None, :])
     # (1 - exp(-b)) / b, and its limit 1 at b = 0
     ratio = np.divide(-np.expm1(-b), b, out=np.ones_like(b), where=b > 0.0)
     kernel = np.maximum(p[:, None], p[None, :]) * ratio
@@ -374,13 +401,12 @@ def susceptibility(model: ModelParams, observables) -> np.ndarray:
 def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     """Field estimates F_i = sum_j chi^-1_ij <X_j - <X_j>_0> inferred from rho_S.
 
-    The excess <X_j - <X_j>_0> is tr(X_j (rho_S - Tr_env rho0)); rho0 and chi
-    are the ones prep computed at construction.
+    The excess <X_j - <X_j>_0> is tr(X_j (rho_S - Tr_env rho0)), read off the
+    Bloch vectors as bloch_rows[j] . (s - s0); chi_inv, bloch_rows and s0 are
+    the ones prep computed at construction.
     """
     rho_S = _check_qubit_density(rho_S, "reduced state")
-    shift = rho_S - prep.rho0_S
-    excess = np.array([float(np.trace(as_operator(x) @ shift).real) for x in prep.observables])
-    return np.linalg.solve(prep.chi, excess)
+    return prep.chi_inv @ (prep.bloch_rows @ (qubit_bloch(rho_S) - prep.s0))
 
 
 def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
@@ -393,13 +419,13 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     prep.beta_f_max.
     """
     fields = mori_fields(prep, rho_S)
-    state = prep.rho0.astype(complex)
+    state = prep.rho0  # never returned as is: there is at least one observable
     for k, f in zip(prep.kubo, fields):
         state = state + f * k
-    beta_fields = prep.model.beta * np.abs(fields)
-    if beta_fields.max() > prep.beta_f_max:
+    beta_field = prep.model.beta * float(np.abs(fields).max())
+    if beta_field > prep.beta_f_max:
         warnings.warn(
-            f"inferred fields reach |beta F| = {beta_fields.max():.3f}, beyond the "
+            f"inferred fields reach |beta F| = {beta_field:.3f}, beyond the "
             f"linear-response trust region {prep.beta_f_max}; result is an extrapolation",
             ExtrapolationWarning,
             stacklevel=2,
@@ -421,7 +447,8 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
     """
     rho_S = _check_qubit_density(rho_S, "reduced state")
     state = prep._total_state(rho_S)
-    gap = float(np.linalg.norm(partial_trace(state, keep=0) - rho_S))
+    diff = partial_trace(state, keep=0) - rho_S
+    gap = math.sqrt(np.vdot(diff, diff).real)  # Frobenius norm; nan stays nan
     if not gap <= TRACE_BACK_ATOL:
         raise PreparationDomainError(
             f"{type(prep).__name__} preparation does not reach this reduced state: "

@@ -283,6 +283,67 @@ class TestMoriCheckAndPechukas:
         assert "not a valid density matrix" in err
 
 
+class TestInputsNearTheLargestDouble:
+    # the tier-1 filter turns a RuntimeWarning into an error, so each of these
+    # also asserts that no overflow or invalid-value warning fires
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-bloch", "--beta-e=1e308"),
+            ("evolve", "--prep=factorizing", "--beta-e=1e308"),
+            ("pechukas", "--beta-e=1e308"),
+        ],
+        ids=["sweep-bloch", "evolve-factorizing", "pechukas"],
+    )
+    def test_splitting_of_1e308_writes_finite_cells(self, capsys, argv):
+        # |E1| + |E3| is beyond the largest double here; their half-sum is not
+        code, out, _ = run(capsys, *argv)
+        # pechukas may fail its decay check: its residuals are all roundoff
+        assert code == 0 or (argv[0] == "pechukas" and code == 1)
+        _, *rows = out.splitlines()
+        assert rows
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(",")), row
+
+    def test_overflowing_energy_is_an_input_error(self, capsys):
+        # beta |E3| = |Fz + e| is beyond the largest double: no closed form
+        code, out, err = run(
+            capsys,
+            "sweep-bloch",
+            "--beta-e=1.7976931348623157e308",
+            "--fz-min=1e300",
+            "--fz-max=2e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert "energy overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mori-check", "--beta-g=1e308"),
+            ("affinity", "--prep=mori", "--beta-g=1e308"),
+            ("evolve", "--prep=mori", "--beta-g=1e308"),
+        ],
+        ids=["mori-check", "affinity-mori", "evolve-mori"],
+    )
+    def test_coupling_of_1e308_has_no_susceptibility(self, capsys, argv):
+        # every energy gap is infinite, so every Kubo weight is exactly 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "susceptibility matrix is not invertible" in err
+
+    def test_mori_check_with_a_zero_residual_is_an_input_error(self, capsys):
+        # at beta g = 1e20 both Mori residuals are exactly 0: their ratio,
+        # the quadratic order, is undefined
+        code, out, err = run(capsys, "mori-check", "--beta-g=1e20")
+        assert code == 2
+        assert out == ""
+        assert "beta_g = 1e+20" in err and "quadratic order" in err
+
+
 class TestConvexityAndLinearity:
     def test_convexity_uncoupled_passes(self, capsys):
         code, _, err = run(capsys, "convexity", "--beta-g", "0")

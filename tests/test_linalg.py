@@ -66,7 +66,24 @@ class TestKron:
             kron(np.ones(2), ID2)
 
 
+def einsum_partial_trace(rho, keep: int) -> np.ndarray:
+    """The index-contraction form of the two-qubit partial trace: the reference."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("ikjk->ij", r) if keep == 0 else np.einsum("ikil->kl", r)
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_strided_blocks_equal_the_contraction(self, rng, keep):
+        # two strided 2x2 blocks add the same pairs of entries as the einsum
+        general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        operators = [random_density(rng, 4), general]
+        for g in (0.0, 1.5):
+            model = ModelParams(1.0, 1.0, g)
+            operators += [equilibrium_state(model, fz) for fz in (0.0, 5.0, -5.0, 1e300, -1e300)]
+        for rho in operators:
+            assert np.array_equal(partial_trace(rho, keep=keep), einsum_partial_trace(rho, keep))
+
     def test_product_state(self, rng):
         rho_s = random_density(rng, 2)
         rho_b = random_density(rng, 2)

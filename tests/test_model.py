@@ -16,6 +16,7 @@ from spinprep import (
     bloch_decompose,
     energies,
     equilibrium_observables,
+    equilibrium_state,
     hamiltonian,
     herm_eig,
     kron,
@@ -23,7 +24,7 @@ from spinprep import (
     qubit_bloch,
     reduced_from_bloch,
 )
-from spinprep.model import ID2, PAULIS, SZ
+from spinprep.model import ID2, PAULIS, SZ, reduced_from_bloch_unchecked
 
 from conftest import assert_close, random_density
 
@@ -329,6 +330,30 @@ class TestEquilibriumObservables:
         gaps = [abs(float(Decimal(v) - r)) for v, r in zip(p[1:], reference)]
         assert max(gaps) <= 1e-15, dict(zip(p._fields[1:], gaps))
 
+    @pytest.mark.parametrize("e", [1e308, -1e308])
+    @pytest.mark.parametrize("g", [0.0, 1.5])
+    def test_finite_where_the_energies_sum_beyond_the_largest_double(self, e, g):
+        # |E1| + |E3| overflows here, and 2e / (|E1| + |E3|) was inf / inf =
+        # nan.  Against a splitting of 1e308 the coupling is nothing: the
+        # environment spin is frozen against e, and the system spin is free
+        for fz in (0.0, 0.5, -5.0, 1e300):
+            p = equilibrium_observables(ModelParams(1.0, e, g), fz)
+            assert all(math.isfinite(v) for v in p), p
+            frozen = -math.copysign(1.0, e)
+            assert abs(p.S2z - frozen) <= 1e-15
+            assert abs(p.S1z - math.tanh(fz)) <= 1e-15
+            assert abs(p.Czz - frozen * math.tanh(fz)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "beta, e, fz",
+        [(1.0, 1.7976931348623157e308, 1e300), (1.0, 1e308, -1e308), (1e300, 1e10, 0.0)],
+    )
+    def test_an_overflowing_energy_is_a_domain_error(self, beta, e, fz):
+        # beta |E3| = beta hypot(Fz + e, g) is beyond the largest double: the
+        # closed form would read a wrong finite S1z (or nan), not a result
+        with pytest.raises(DomainError, match="overflows"):
+            equilibrium_observables(ModelParams(beta, e, 1.0), fz)
+
 
 class TestBloch:
     def test_maximally_mixed(self):
@@ -374,6 +399,22 @@ class TestBloch:
                 1e-12,
                 "marginal vs Bloch vector",
             )
+
+    def test_reduced_from_bloch_unchecked_equals_the_pauli_sum(self, rng):
+        # the reference is the operator sum (1 + x sx + y sy + z sz) / 2
+        def pauli_sum(s):
+            rho = ID2.copy()
+            for i in range(3):
+                rho = rho + s[i] * PAULIS[i]
+            return 0.5 * rho
+
+        vectors = [rng.standard_normal(3) for _ in range(20)]  # in the ball or not
+        for g in (0.0, 1.5):
+            model = ModelParams(1.0, 1.0, g)
+            for fz in (0.0, 5.0, -5.0, 1e300, -1e300):
+                vectors.append(qubit_bloch(partial_trace(equilibrium_state(model, fz), keep=0)))
+        for s in vectors:
+            assert np.array_equal(reduced_from_bloch_unchecked(s), pauli_sum(s))
 
     def test_qubit_bloch_round_trip(self, rng):
         rho = random_density(rng, 2)

@@ -38,13 +38,14 @@ from spinprep import (
     operator_sandwich_state,
     partial_trace,
     propagator,
+    qubit_bloch,
     reduced_from_bloch,
     susceptibility,
     ValidationError,
     validate_density,
 )
 from spinprep.linalg import DENSITY_EIG_FLOOR, dag, herm_eig
-from spinprep.model import ID2, SX, SZ, ModelParams
+from spinprep.model import CORR, ID2, SIGMA1, SIGMA2, SX, SY, SZ, ModelParams
 from spinprep.prepare import TRACE_BACK_ATOL, embed_system
 
 from conftest import assert_close, random_density
@@ -129,6 +130,25 @@ class TestEquilibriumState:
     def test_huge_field_is_overflow_safe(self):
         rho = equilibrium_state(MODEL, 1e6)
         assert validate_density(rho).ok
+
+    def test_entries_equal_the_operator_sum(self):
+        # the reference is 1/4 (1 + S1z sz1 + S2z sz2 + Cxx sx sx + Cyy sy sy
+        # + Czz sz sz) summed as operators; the eight entries match it bit for
+        # bit, signed zeros included
+        def operator_sum(model, fz):
+            p = equilibrium_observables(model, fz)
+            return 0.25 * (
+                np.eye(4) + p.S1z * SIGMA1[2] + p.S2z * SIGMA2[2]
+                + p.Cxx * CORR[0][0] + p.Cyy * CORR[1][1] + p.Czz * CORR[2][2]
+            )
+
+        for g in (0.0, -0.0, 1.5, -1.5):
+            for e in (1.0, -2.0, 0.0):
+                model = ModelParams(1.0, e, g)
+                for fz in (0.0, -0.0, 5.0, -5.0, 1e300, -1e300, 0.37):
+                    state, reference = equilibrium_state(model, fz), operator_sum(model, fz)
+                    assert np.array_equal(state, reference)
+                    assert np.array_equal(state.view(np.uint64), reference.view(np.uint64))
 
 
 class TestInvertField:
@@ -520,6 +540,22 @@ class TestMori:
         with pytest.raises(PreparationDomainError):
             blow_up(prep, reduced_from_bloch(np.array([0.02, 0.0, 0.0])))
 
+    @pytest.mark.parametrize(
+        "observables", [(SZ,), (SZ, SX), (SZ, SX, SY)], ids=["z", "zx", "zxy"]
+    )
+    def test_fields_match_a_solve_against_chi(self, observables, rng):
+        # the reference solves chi F = excess with the excess read as
+        # tr(X_j (rho_S - rho0_S)); mori_fields applies the stored chi^-1 to
+        # the Bloch-vector form of the same excess
+        prep = MoriLinearResponse(MODEL, observables)
+        for _ in range(20):
+            s = qubit_bloch(prep.rho0_S) + 0.05 * rng.uniform(-1.0, 1.0, 3)
+            rho_s = reduced_from_bloch(s)
+            excess = np.array([np.trace(x @ (rho_s - prep.rho0_S)).real for x in observables])
+            reference = np.linalg.solve(prep.chi, excess)
+            gap = np.linalg.norm(mori_fields(prep, rho_s) - reference)
+            assert gap <= 1e-15 * np.linalg.norm(reference)
+
     def test_blow_up_validates_the_state_twice(self, monkeypatch):
         # blow_up checks rho_S once and mori_fields once (reached through
         # mori_blow_up); the trust-region warning fires from mori_blow_up
@@ -673,9 +709,13 @@ class TestAffineInvariantsBuiltOnce:
             blow_up(faw, faw.G.apply(z_state(s1z)))
             blow_up(sandwich, own)
         assert calls == []
-        for stored in (mori.rho0, mori.rho0_S, mori.chi, *mori.kubo, faw.u_wait, sandwich.state):
+        stored_arrays = (
+            mori.rho0, mori.rho0_S, mori.chi, mori.chi_inv, mori.bloch_rows, mori.s0,
+            *mori.kubo, faw.u_wait, sandwich.state,
+        )
+        for stored in stored_arrays:
             with pytest.raises(ValueError):
-                stored[0, 0] = 0.0  # shared by every later blow-up: read-only
+                stored[(0,) * stored.ndim] = 0.0  # shared by every later blow-up: read-only
 
     def test_factorize_and_wait_reruns_the_wait(self):
         # u_wait (G^-1(rho_S) (x) rho_B0) u_wait^dagger is the evolution of the
