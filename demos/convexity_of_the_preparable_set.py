@@ -22,13 +22,18 @@ FIELDS = np.linspace(-2.0, 2.0, 5)
 WEIGHTS = (0.25, 0.5, 0.75)
 
 
+def end_state(model, fz):
+    return sp.EquilibriumPoint(fz, sp.equilibrium_observables(model, fz))
+
+
 def lattice_worst(beta_g):
     model = sp.ModelParams(1.0, 1.0, beta_g)
+    ends = [end_state(model, f) for f in FIELDS.tolist()]
     worst = None
-    for f1 in FIELDS:
-        for f2 in FIELDS:
+    for end1 in ends:
+        for end2 in ends:
             for lam in WEIGHTS:
-                r = sp.convexity_test(model, float(f1), float(f2), lam)
+                r = sp.convexity_test(model, end1, end2, lam)
                 if worst is None or max(r.S2_defect, r.C_defect) > max(
                     worst.S2_defect, worst.C_defect
                 ):
@@ -47,9 +52,9 @@ def main():
 
     print("\nhow one defect arises (beta*g = 1.5, F1 = -2, F2 = +2, weight = 1/2):")
     model = sp.ModelParams(1.0, 1.0, 1.5)
-    r = sp.convexity_test(model, -2.0, 2.0, 0.5)
-    o1 = sp.equilibrium_observables(model, -2.0)
-    o2 = sp.equilibrium_observables(model, 2.0)
+    end1, end2 = end_state(model, -2.0), end_state(model, 2.0)
+    r = sp.convexity_test(model, end1, end2, 0.5)
+    o1, o2 = end1.observables, end2.observables
     o3 = sp.equilibrium_observables(model, r.F3)
     print(f"  S1z mixes to {0.5 * o1.S1z + 0.5 * o2.S1z:+.6f} -> F3 = {r.F3:+.6f} (exact)")
     print(f"  Cxx at F3:        {o3.Cxx:+.6f}")

@@ -58,11 +58,12 @@ def correlation_residuals():
 def convexity_max_defect():
     model = sp.ModelParams(1.0, CANONICAL_BETA_E, 1.5)
     fields = np.linspace(CONVEXITY["f_min"], CONVEXITY["f_max"], CONVEXITY["f_steps"])
+    ends = [sp.EquilibriumPoint(f, sp.equilibrium_observables(model, f)) for f in fields.tolist()]
     worst = 0.0
-    for f1 in fields:
-        for f2 in fields:
+    for end1 in ends:
+        for end2 in ends:
             for lam in CONVEXITY["lambdas"]:
-                r = sp.convexity_test(model, float(f1), float(f2), lam)
+                r = sp.convexity_test(model, end1, end2, lam)
                 worst = max(worst, r.S2_defect, r.C_defect)
     return worst
 

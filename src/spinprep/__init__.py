@@ -68,6 +68,7 @@ from .model import (
 )
 from .prepare import (
     Equilibrium,
+    EquilibriumPoint,
     Factorizing,
     FactorizeAndWait,
     MoriLinearResponse,

@@ -20,6 +20,9 @@ preparation are gated when uncoupled, where they vanish, and recorded when
 coupled; every other preparation is gated at every coupling.  Uncoupled,
 the mori-check and pechukas residuals are roundoff, so there they are gated
 themselves (below 1e-12) in place of their quadratic order and their decay.
+Coupled, the same holds where they are roundoff: mori-check's residual at
+beta_F = 0.01 below 1e-13 (an exactly zero one leaves the order undefined,
+an input error), or every pechukas residual below 1e-12 times the scale.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
 configuration error (an unknown --prep among them), an --out that cannot be
@@ -61,6 +64,7 @@ from .model import (
 )
 from .prepare import (
     Equilibrium,
+    EquilibriumPoint,
     Factorizing,
     FactorizeAndWait,
     MoriLinearResponse,
@@ -94,6 +98,12 @@ _PREPARATIONS = {
 
 # the Mori blow-up is a linear response: its samples stay within |S1z| <= this
 _MORI_S1Z = 0.05
+
+# A Mori residual below this is roundoff (up to 8e-14 at beta*e = 1000), so
+# the ratio of two of them says nothing about their order.  Below it the
+# residuals are gated themselves, below 1e-12; a quadratic residual at
+# beta_F = 0.02 is at most 5.2 times this, so it passes that gate too.
+_MORI_ROUNDOFF_FLOOR = 1e-13
 
 
 def _parse_preparation(text: str) -> str:
@@ -281,13 +291,15 @@ def _run_sweep_linearity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Ch
 
 def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
-    fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"])
+    fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
+    # each end state is evaluated once and shared by every test it takes part in
+    ends = [EquilibriumPoint(f, equilibrium_observables(model, f)) for f in fields]
     rows: list[tuple] = []
     worst = 0.0
-    for f1 in fields:
-        for f2 in fields:
+    for end1 in ends:
+        for end2 in ends:
             for lam in cfg["lambdas"]:
-                r = convexity_test(model, float(f1), float(f2), float(lam))
+                r = convexity_test(model, end1, end2, float(lam))
                 rows.append((beta_g, r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect))
                 worst = max(worst, r.S2_defect, r.C_defect)
     names = ("convex_when_uncoupled", f"defect_recorded_bg_{_fmt(beta_g)}")
@@ -350,9 +362,11 @@ def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]
             "undefined at this coupling"
         )
     ratio = residuals[0] / residuals[1]
-    if beta_g == 0.0:
-        # uncoupled, the Mori blow-up is exact: both residuals are roundoff
-        order = _gate(cfg, "mori_exact_when_uncoupled", max(residuals), 1e-12)
+    if beta_g == 0.0 or residuals[1] < _MORI_ROUNDOFF_FLOOR:
+        # uncoupled the Mori blow-up is exact, and at a large enough coupling
+        # it is exact to roundoff: both residuals are roundoff
+        name = "mori_exact_when_uncoupled" if beta_g == 0.0 else f"mori_exact_bg_{_fmt(beta_g)}"
+        order = _gate(cfg, name, max(residuals), 1e-12)
     else:
         order = Check(f"quadratic_order_bg_{_fmt(beta_g)}", 2.8 <= ratio <= 5.2, ratio)
     chi_check = _gate(cfg, f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd), 1e-6)
@@ -363,9 +377,12 @@ def _run_pechukas(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
     rows = [(beta_g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
-    if beta_g == 0.0:
-        # uncoupled, the equilibrium state is a product: every residual is roundoff
-        return rows, [_gate(cfg, "factorized_when_uncoupled", max(values), 1e-12)]
+    if beta_g == 0.0 or max(values) < 1e-12 * cfg["tolerance_scale"]:
+        # uncoupled the equilibrium state is a product, and where the
+        # environment spin is frozen (beta e = 1e308) it is one to roundoff:
+        # residuals that are all roundoff cannot show a decay
+        name = "factorized_when_uncoupled" if beta_g == 0.0 else f"factorized_bg_{_fmt(beta_g)}"
+        return rows, [_gate(cfg, name, max(values), 1e-12)]
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     return rows, [Check(f"residual_decay_bg_{_fmt(beta_g)}", decreasing, values[-1])]
 

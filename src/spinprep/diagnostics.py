@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, PreparationDomainError
 from .linalg import kron, partial_trace
 from .model import ModelParams, equilibrium_observables
-from .prepare import invert_field
+from .prepare import EquilibriumPoint, invert_field
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,27 @@ class ConvexityTestResult:
     C_defect: float
 
 
-def convexity_test(model: ModelParams, F1: float, F2: float, weight: float) -> ConvexityTestResult:
-    """Check whether mixing two equilibrium preparations stays in the class."""
+def convexity_test(
+    model: ModelParams, end1: EquilibriumPoint, end2: EquilibriumPoint, weight: float
+) -> ConvexityTestResult:
+    """Check whether mixing two equilibrium preparations stays in the class.
+
+    end1 and end2 are the two end states, each a field and the observables
+    there; the mixed state's observables are the ones its field inversion
+    evaluated at its root, so the test itself evaluates no closed form.
+    """
     if not 0.0 < weight < 1.0:
         raise ValueError(f"mixing weight must lie in (0, 1), got {weight}")
-    obs1 = equilibrium_observables(model, F1)
-    obs2 = equilibrium_observables(model, F2)
-    target_s1z = weight * obs1.S1z + (1.0 - weight) * obs2.S1z
-    F3 = invert_field(model, target_s1z)
-    obs3 = equilibrium_observables(model, F3)
+    obs1, obs2 = end1.observables, end2.observables
+    mixed = invert_field(model, weight * obs1.S1z + (1.0 - weight) * obs2.S1z)
+    obs3 = mixed.observables
 
     s2_defect = abs(obs3.S2z - weight * obs1.S2z - (1.0 - weight) * obs2.S2z)
     c_defect = max(
         abs(getattr(obs3, name) - weight * getattr(obs1, name) - (1.0 - weight) * getattr(obs2, name))
         for name in ("Cxx", "Cyy", "Czz")
     )
-    return ConvexityTestResult(weight, F1, F2, F3, float(s2_defect), float(c_defect))
+    return ConvexityTestResult(weight, end1.Fz, end2.Fz, mixed.Fz, float(s2_defect), float(c_defect))
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,8 @@ def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
     """Evaluate S2z, Cxx, Cyy, Czz against S1z and fit each as a straight line.
 
     The grid values are S1z targets strictly inside the preparable interval;
-    each is realized by inverting the field.  A grid of fewer than 3 points,
+    each is realized by inverting the field, and its observables are the
+    ones the inversion evaluated at its root.  A grid of fewer than 3 points,
     or with fewer than 2 distinct values, raises ValueError: no line is
     fitted through it.
     """
@@ -124,7 +130,7 @@ def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
         raise ValueError(f"linearity scan needs at least 3 grid points, got {s1z.size}")
     if not (s1z != s1z[0]).any():
         raise ValueError("linearity scan needs at least 2 distinct S1z values")
-    rows = [equilibrium_observables(model, invert_field(model, s)) for s in s1z]
+    rows = [invert_field(model, s).observables for s in s1z]
     curves = {
         name: np.array([getattr(r, name) for r in rows])
         for name in ("S2z", "Cxx", "Cyy", "Czz")

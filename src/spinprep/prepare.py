@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .linalg import (
     require_density,
     validate_density,
 )
-from .model import ID2, ModelParams, equilibrium_observables
+from .model import ID2, EquilibriumCurvePoint, ModelParams, equilibrium_observables
 from .model import hamiltonian, qubit_bloch
 
 # How closely a reduced state must sit on a preparation's reachable manifold.
@@ -79,7 +80,7 @@ class Equilibrium:
     model: ModelParams
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
-        return equilibrium_state(self.model, invert_field(self.model, qubit_bloch(rho_S)[2]))
+        return _equilibrium_matrix(invert_field(self.model, qubit_bloch(rho_S)[2]).observables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +240,21 @@ def embed_system(op) -> np.ndarray:
 def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
     """exp(-beta H(Fz)) / Z built from its five closed-form components.
 
-    The state is 1/4 (1 + S1z sz1 + S2z sz2 + Cxx sx sx + Cyy sy sy + Czz sz sz)
-    with the components of equilibrium_observables, which are overflow-safe
-    for any field; no eigensolver is involved.  In the basis |up,up>,
-    |up,down>, |down,up>, |down,down> it has eight non-zero entries:
-    1/4 (1 +- S1z +- S2z +- Czz) on the diagonal, and 1/4 (Cxx -+ Cyy) on the
-    anti-diagonal of the even (odd) parity sector.  Each entry is summed in
-    the order of the operator sum above, so the result is bit-identical to
-    it.
+    The components are those of equilibrium_observables, which are
+    overflow-safe for any field; no eigensolver is involved.
     """
-    p = equilibrium_observables(model, Fz)
+    return _equilibrium_matrix(equilibrium_observables(model, Fz))
+
+
+def _equilibrium_matrix(p: EquilibriumCurvePoint) -> np.ndarray:
+    """1/4 (1 + S1z sz1 + S2z sz2 + Cxx sx sx + Cyy sy sy + Czz sz sz) from p.
+
+    In the basis |up,up>, |up,down>, |down,up>, |down,down> it has eight
+    non-zero entries: 1/4 (1 +- S1z +- S2z +- Czz) on the diagonal, and
+    1/4 (Cxx -+ Cyy) on the anti-diagonal of the even (odd) parity sector.
+    Each entry is summed in the order of the operator sum above, so the
+    result is bit-identical to it.
+    """
     up, down = 1.0 + p.S1z, 1.0 - p.S1z
     # 0.0 + Cxx: the operator sum adds Cxx to a zero entry, which turns -0 into +0
     even, odd = 0.25 * (0.0 + p.Cxx - p.Cyy), 0.25 * (0.0 + p.Cxx + p.Cyy)
@@ -263,8 +269,20 @@ def equilibrium_state(model: ModelParams, Fz: float) -> np.ndarray:
     )
 
 
-def invert_field(model: ModelParams, target_S1z: float) -> float:
-    """Field Fz with S1z(Fz) = target, to within 1e-12 in S1z.
+class EquilibriumPoint(NamedTuple):
+    """A field Fz and the equilibrium observables evaluated at it.
+
+    invert_field returns the one at its root; convexity_test takes two as
+    the end states it mixes.
+    """
+
+    Fz: float
+    observables: EquilibriumCurvePoint
+
+
+def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
+    """The field Fz with S1z(Fz) = target, to within 1e-12 in S1z, and the
+    equilibrium observables at it.
 
     S1z is odd and strictly increasing in Fz, and uncoupled it is exactly
     tanh(beta Fz).  The root is therefore sought in atanh coordinates, where
@@ -280,6 +298,12 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
     smallest residual; a residual above 1e-12 raises RuntimeError.  A target
     with |S1z| >= 1, or one whose next step needs |Fz| > 1e8/beta, raises
     UnreachableStateError.
+
+    The iteration runs on |Fz| and sign(target) S1z, but each evaluation is
+    at the signed field copysign(|Fz|, target): S1z is bitwise odd, so the
+    iterates are those of the positive target, and the returned observables
+    are exactly equilibrium_observables(model, Fz) at the returned Fz.  A
+    zero target is one evaluation, at Fz = 0.
     """
     sup = 1.0  # sup |S1z| over all fields, approached only as Fz -> +-inf
     if not abs(target_S1z) < sup:
@@ -289,10 +313,11 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
             supremum=sup,
         )
     if target_S1z == 0.0:
-        return 0.0
+        return EquilibriumPoint(0.0, equilibrium_observables(model, 0.0))
 
     # Python floats throughout: inf - inf gives nan with no RuntimeWarning (a
     # numpy scalar warns), and the bracket test below rejects nan
+    sign = math.copysign(1.0, target_S1z)
     goal = float(abs(target_S1z))
     phi_goal = math.atanh(goal)
     beta = float(model.beta)
@@ -300,13 +325,15 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
     lo, hi = 0.0, math.inf
     x_prev, phi_prev = 0.0, -phi_goal  # S1z(0) = 0 exactly: S1z is odd
     x = phi_goal / beta
-    root, r = x, math.inf
+    root, r = None, math.inf
     while True:
-        s = float(equilibrium_observables(model, x).S1z)
+        fz = sign * x
+        obs = equilibrium_observables(model, fz)
+        s = sign * obs.S1z
         r_x = s - goal
         phi = math.atanh(s) - phi_goal if s < 1.0 else math.inf
         if abs(r_x) < abs(r):
-            root, r = x, r_x
+            root, r = (fz, obs), r_x
         if abs(r) <= 1e-14:
             break
         if r_x < 0.0:
@@ -331,7 +358,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> float:
         raise RuntimeError(
             f"field inversion did not converge for target S1z = {target_S1z}"
         )
-    return math.copysign(root, target_S1z)
+    return EquilibriumPoint(*root)
 
 
 def operator_sandwich_state(model: ModelParams, Fz: float, ops) -> tuple[np.ndarray, DensityReport]:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ def random_density(rng, n):
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + a.conj().T
+
+
+def bits(values):
+    """The IEEE bytes of each value: equal iff bit for bit, signed zeros included."""
+    return [struct.pack("<d", v) for v in values]
 
 
 def assert_close(actual, desired, atol, what=""):

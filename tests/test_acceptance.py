@@ -146,11 +146,12 @@ def test_06_convexity_defect_lattice():
 
     def lattice_defects(beta_g):
         model = ModelParams(1.0, 1.0, beta_g)
+        ends = [sp.EquilibriumPoint(f, sp.equilibrium_observables(model, f)) for f in fields.tolist()]
         worst = 0.0
-        for f1 in fields:
-            for f2 in fields:
+        for end1 in ends:
+            for end2 in ends:
                 for lam in lams:
-                    r = sp.convexity_test(model, float(f1), float(f2), lam)
+                    r = sp.convexity_test(model, end1, end2, lam)
                     worst = max(worst, r.S2_defect, r.C_defect)
         return worst
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import spinprep.cli
+import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
-from spinprep import equilibrium_observables
+from spinprep import equilibrium_observables, invert_field
 from spinprep.cli import _fmt, _write_csv, main
 
 
@@ -256,6 +257,27 @@ class TestMoriCheckAndPechukas:
         assert code == 1
         assert summary_value(err, check) == "fail"
 
+    @pytest.mark.parametrize(
+        "argv,check",
+        [
+            (("mori-check", "--beta-g=1e5"), "mori_exact_bg_100000"),
+            (("mori-check", "--beta-g=1e10"), "mori_exact_bg_10000000000"),
+            (("pechukas", "--beta-e=1e308"), "factorized_bg_1"),
+        ],
+        ids=["mori-check-1e5", "mori-check-1e10", "pechukas-1e308"],
+    )
+    def test_coupled_roundoff_residuals_are_gated_themselves(self, capsys, argv, check):
+        # the Mori residual at beta_F = 0.01 is 5.6e-15 at beta g = 1e5 and
+        # 1.1e-16 at 1e10, and every pechukas residual is near 1e-16 at
+        # beta e = 1e308: a ratio or a decay of roundoff measures nothing
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert summary_value(err, check) == "pass"
+        assert float(summary_value(err, check + "_value")) < 1e-13
+        assert "quadratic_order" not in err and "residual_decay" not in err
+        code, _, err = run(capsys, *argv, "--tolerance-scale=1e-5")
+        assert code == 1
+
     def test_chi_is_gated_when_uncoupled(self, capsys):
         code, _, err = run(capsys, "mori-check", "--beta-g=0")
         assert code == 0
@@ -299,8 +321,7 @@ class TestInputsNearTheLargestDouble:
     def test_splitting_of_1e308_writes_finite_cells(self, capsys, argv):
         # |E1| + |E3| is beyond the largest double here; their half-sum is not
         code, out, _ = run(capsys, *argv)
-        # pechukas may fail its decay check: its residuals are all roundoff
-        assert code == 0 or (argv[0] == "pechukas" and code == 1)
+        assert code == 0
         _, *rows = out.splitlines()
         assert rows
         for row in rows:
@@ -383,6 +404,38 @@ class TestConvexityAndLinearity:
         code, _, err = run(capsys, "sweep-linearity", "--beta-g", "0,1.5", "--points", "7")
         assert code == 0
         assert summary_value(err, "linear_when_uncoupled") == "pass"
+
+    @pytest.fixture
+    def outside(self, monkeypatch):
+        """Counts the closed-form evaluations made outside every field inversion."""
+        count, depth = [0], [0]
+
+        def counting(model, fz):
+            count[0] += depth[0] == 0
+            return equilibrium_observables(model, fz)
+
+        def inverting(model, target):
+            depth[0] += 1
+            try:
+                return invert_field(model, target)
+            finally:
+                depth[0] -= 1
+
+        for module in (spinprep.prepare, spinprep.diagnostics, spinprep.cli):
+            monkeypatch.setattr(module, "equilibrium_observables", counting)
+            if hasattr(module, "invert_field"):
+                monkeypatch.setattr(module, "invert_field", inverting)
+        return count
+
+    def test_inversion_rows_reuse_the_observables_at_their_roots(self, capsys, outside):
+        # a linearity row is the inversion's own evaluation at its root, and
+        # a convexity lattice evaluates each of its f-steps end fields once
+        code, out, _ = run(capsys, "sweep-linearity", "--beta-g=0,1.5", "--points=9")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 9
+        assert outside[0] == 0
+        code, out, _ = run(capsys, "convexity", "--beta-g=0,1.5", "--f-steps=5")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 5 * 5 * 3
+        assert outside[0] == 2 * 5
 
 
 class TestCouplingIndependence:

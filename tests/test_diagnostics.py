@@ -5,16 +5,19 @@ import pytest
 
 from spinprep import (
     Equilibrium,
+    EquilibriumPoint,
     MoriLinearResponse,
     PreparationDomainError,
     affinity_defect,
     blow_up,
     chebyshev_targets,
     convexity_test,
+    equilibrium_observables,
     equilibrium_state,
     evenness_witness,
     factorization_residual,
     figure_sweep,
+    invert_field,
     kron,
     linearity_scan,
     reduced_from_bloch,
@@ -22,7 +25,7 @@ from spinprep import (
 from spinprep.diagnostics import _fit_line
 from spinprep.model import SZ, ModelParams
 
-from conftest import assert_close, random_density
+from conftest import assert_close, bits, random_density
 
 MODEL15 = ModelParams(1.0, 1.0, 1.5)
 MODEL0 = ModelParams(1.0, 1.0, 0.0)
@@ -32,25 +35,38 @@ def z_state(s1z):
     return reduced_from_bloch(np.array([0.0, 0.0, s1z]))
 
 
+def end(model, fz):
+    return EquilibriumPoint(fz, equilibrium_observables(model, fz))
+
+
+def mix(model, f1, f2, weight):
+    return convexity_test(model, end(model, f1), end(model, f2), weight)
+
+
+# the models of the reuse tests: coupled, uncoupled, beta e = 1e5 (S1z steps
+# by near 1e-12 between adjacent fields there) and a negative splitting
+REUSE_MODELS = [MODEL15, MODEL0, ModelParams(1.0, 1e5, 0.3), ModelParams(0.7, -1.3, 2.0)]
+
+
 class TestConvexityTest:
     def test_equal_fields_no_defect(self):
-        r = convexity_test(MODEL15, 1.3, 1.3, 0.4)
+        r = mix(MODEL15, 1.3, 1.3, 0.4)
         assert r.S2_defect < 1e-14
         assert r.C_defect < 1e-14
         assert abs(r.F3 - 1.3) < 1e-10
 
     def test_uncoupled_class_is_convex(self):
         for f1, f2, lam in [(-2.0, 2.0, 0.5), (-1.0, 0.5, 0.25), (0.3, 1.7, 0.75)]:
-            r = convexity_test(MODEL0, f1, f2, lam)
+            r = mix(MODEL0, f1, f2, lam)
             assert r.S2_defect < 1e-10
             assert r.C_defect < 1e-10
 
     def test_coupled_class_is_not_convex(self, baselines):
         # every tested coupling produces a defect well above threshold
         for beta_g in (0.5, 1.0, 1.5):
-            r = convexity_test(ModelParams(1.0, 1.0, beta_g), -2.0, 2.0, 0.5)
+            r = mix(ModelParams(1.0, 1.0, beta_g), -2.0, 2.0, 0.5)
             assert max(r.S2_defect, r.C_defect) > 1e-4
-        r = convexity_test(MODEL15, -2.0, 2.0, 0.5)
+        r = mix(MODEL15, -2.0, 2.0, 0.5)
         assert r.C_defect > 1e-4
         # canonical lattice maximum is pinned from the oracle run
         frozen = baselines["convexity_max_defect_bg_1.5"]
@@ -59,24 +75,43 @@ class TestConvexityTest:
         for f1 in fields:
             for f2 in fields:
                 for lam in (0.25, 0.5, 0.75):
-                    rr = convexity_test(MODEL15, float(f1), float(f2), lam)
+                    rr = mix(MODEL15, float(f1), float(f2), lam)
                     worst = max(worst, rr.S2_defect, rr.C_defect)
         assert abs(worst - frozen) <= 0.01 * frozen
 
     def test_weight_validated(self):
         with pytest.raises(ValueError):
-            convexity_test(MODEL15, -1.0, 1.0, 0.0)
+            mix(MODEL15, -1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            convexity_test(MODEL15, -1.0, 1.0, 1.0)
+            mix(MODEL15, -1.0, 1.0, 1.0)
 
     def test_s1z_component_exact_by_construction(self):
-        from spinprep.model import equilibrium_observables
-
-        r = convexity_test(MODEL15, -1.5, 0.8, 0.3)
+        r = mix(MODEL15, -1.5, 0.8, 0.3)
         s3 = equilibrium_observables(MODEL15, r.F3).S1z
         s1 = equilibrium_observables(MODEL15, r.F1).S1z
         s2 = equilibrium_observables(MODEL15, r.F2).S1z
         assert abs(s3 - 0.3 * s1 - 0.7 * s2) < 1e-12
+
+    @pytest.mark.parametrize("model", REUSE_MODELS)
+    def test_rows_equal_a_fresh_evaluation_at_the_mixed_field(self, model):
+        # the mixed state's observables come from its inversion: they are
+        # those at F3 bit for bit, so every row is what re-evaluating gives
+        ends = [end(model, f) for f in (-2.0, -0.3, 0.0, 0.3, 2.0)]
+        for end1 in ends:
+            for end2 in ends:
+                for lam in (0.25, 0.5, 0.75):
+                    r = convexity_test(model, end1, end2, lam)
+                    o1, o2 = end1.observables, end2.observables
+                    target = lam * o1.S1z + (1.0 - lam) * o2.S1z
+                    o3 = equilibrium_observables(model, r.F3)
+                    assert bits(invert_field(model, target).observables) == bits(o3)
+                    s2 = abs(o3.S2z - lam * o1.S2z - (1.0 - lam) * o2.S2z)
+                    c = max(
+                        abs(getattr(o3, n) - lam * getattr(o1, n) - (1.0 - lam) * getattr(o2, n))
+                        for n in ("Cxx", "Cyy", "Czz")
+                    )
+                    assert bits((r.S2_defect, r.C_defect)) == bits((s2, c))
+                    assert (r.F1, r.F2) == (end1.Fz, end2.Fz)
 
 
 class TestLinearityScan:
@@ -103,6 +138,15 @@ class TestLinearityScan:
         narrow = linearity_scan(MODEL15, np.linspace(-0.05, 0.05, 21))
         for name in ("Cxx", "Cyy"):
             assert wide.fits[name].max_residual >= 10.0 * narrow.fits[name].max_residual
+
+    @pytest.mark.parametrize("model", REUSE_MODELS)
+    def test_curves_equal_a_fresh_evaluation_at_each_root(self, model):
+        grid = np.linspace(-0.9, 0.9, 13)
+        report = linearity_scan(model, grid)
+        for k, s in enumerate(grid):
+            fresh = equilibrium_observables(model, invert_field(model, s).Fz)
+            for name, values in report.curves.items():
+                assert bits([values[k]]) == bits([getattr(fresh, name)]), (model, s, name)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

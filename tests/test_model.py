@@ -26,7 +26,7 @@ from spinprep import (
 )
 from spinprep.model import ID2, PAULIS, SZ, reduced_from_bloch_unchecked
 
-from conftest import assert_close, random_density
+from conftest import assert_close, bits, random_density
 
 # (beta, e, g, Fz) of the points whose closed-form bits are pinned in KERNEL_BITS
 KERNEL_POINTS = {
@@ -280,6 +280,30 @@ class TestEquilibriumObservables:
             minus = equilibrium_observables(model, -fz)
             assert abs(plus.S1z + minus.S1z) < 1e-12
             assert abs(plus.Cxx - minus.Cxx) < 1e-12
+
+    def test_parity_in_the_field_is_bitwise(self):
+        # field inversion evaluates at the signed field and iterates on
+        # sign(target) S1z, so its iterates depend on S1z being odd to the
+        # last bit; Cyy, odd too, may differ in the sign of a zero
+        rng = np.random.default_rng(20261018)
+        signed = lambda lo, hi: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi))
+        for k in range(4000):
+            beta, e, g, fz = 10.0 ** rng.uniform(-3.0, 3.0), signed(-3, 2), signed(-3, 2), signed(-8, 3)
+            if k % 4 == 1:
+                g = 0.0
+            elif k % 4 == 2:
+                e = math.copysign(1e5 / beta, e)  # beta e = 1e5
+            elif k % 4 == 3:
+                fz = e  # and at k % 8 == 7 also g = 0: an energy is exactly 0
+                g = 0.0 if k % 8 == 7 else g
+            model = ModelParams(beta, e, g)
+            for f in (fz, -fz):
+                plus, minus = equilibrium_observables(model, f), equilibrium_observables(model, -f)
+                for name in ("beta_Fz", "S1z", "Czz"):
+                    assert bits([getattr(minus, name)]) == bits([-getattr(plus, name)]), (model, f)
+                for name in ("S2z", "Cxx"):
+                    assert bits([getattr(minus, name)]) == bits([getattr(plus, name)]), (model, f)
+                assert minus.Cyy == -plus.Cyy, (model, f)
 
     def test_monotone_and_slope_ordering(self):
         grid = np.linspace(-5.0, 5.0, 201)

@@ -48,7 +48,7 @@ from spinprep.linalg import DENSITY_EIG_FLOOR, dag, herm_eig
 from spinprep.model import CORR, ID2, SIGMA1, SIGMA2, SX, SY, SZ, ModelParams
 from spinprep.prepare import TRACE_BACK_ATOL, embed_system
 
-from conftest import assert_close, random_density
+from conftest import assert_close, bits, random_density
 from test_model import _REFERENCE_CONTEXT, _decimal_reference
 
 MODEL = ModelParams(1.0, 1.0, 1.5)
@@ -152,13 +152,18 @@ class TestEquilibriumState:
 
 
 class TestInvertField:
-    def test_zero_target(self):
-        assert invert_field(MODEL, 0.0) == 0.0
+    def test_zero_target(self, fields):
+        for target in (0.0, -0.0):
+            fields.clear()
+            root = invert_field(MODEL, target)
+            assert fields == [0.0] and math.copysign(1.0, fields[0]) == 1.0
+            assert root == (0.0, equilibrium_observables(MODEL, 0.0))
+            assert math.copysign(1.0, root.Fz) == 1.0
 
     def test_round_trips(self):
         for beta_f in (-3.0, -1.0, 0.5, 2.0):
             s = equilibrium_observables(MODEL, beta_f).S1z
-            assert abs(invert_field(MODEL, s) - beta_f) < 1e-10
+            assert abs(invert_field(MODEL, s).Fz - beta_f) < 1e-10
 
     @pytest.fixture
     def fields(self, monkeypatch):
@@ -175,18 +180,18 @@ class TestInvertField:
     def test_inverts_to_stated_tolerance(self, fields):
         for target in (-0.9999, -0.93, -0.2, 0.41, 0.88, 0.9999):
             fields.clear()
-            field = invert_field(MODEL, target)
+            root = invert_field(MODEL, target)
             assert len(fields) <= 12, f"{len(fields)} closed-form evaluations for {target}"
-            assert abs(equilibrium_observables(MODEL, field).S1z - target) <= 1e-12
+            assert abs(root.observables.S1z - target) <= 1e-12
 
     def test_uncoupled_root_is_the_first_evaluation(self, fields):
         # uncoupled, S1z = tanh(beta Fz): the start atanh(target)/beta is the root
         model = ModelParams(2.0, 1.0, 0.0)
         for target in (-0.9, 0.3, 0.7):
             fields.clear()
-            field = invert_field(model, target)
+            root = invert_field(model, target)
             assert len(fields) == 1
-            assert abs(field - math.atanh(target) / 2.0) <= 1e-15
+            assert abs(root.Fz - math.atanh(target) / 2.0) <= 1e-15
 
     def test_few_evaluations_on_the_bench_family(self, fields):
         # the models and targets of the benchmark's inversions: beta e in
@@ -197,9 +202,9 @@ class TestInvertField:
             model = ModelParams(1.0, rng.uniform(0.5, 1.5), rng.uniform(0.0, 2.0))
             target = float(rng.uniform(-0.95, 0.95))
             fields.clear()
-            field = invert_field(model, target)
+            root = invert_field(model, target)
             counts.append(len(fields))
-            assert abs(equilibrium_observables(model, field).S1z - target) <= 1e-12, model
+            assert abs(root.observables.S1z - target) <= 1e-12, model
         assert np.mean(counts) <= 6.0, f"mean {np.mean(counts)} evaluations per inversion"
 
     @pytest.mark.parametrize("beta", [1e-3, 1.0, 50.0])
@@ -214,13 +219,13 @@ class TestInvertField:
                     with pytest.raises(UnreachableStateError):
                         invert_field(model, signed)
                     continue
-                field = invert_field(model, signed)
-                assert abs(equilibrium_observables(model, field).S1z - signed) <= 1e-12
+                root = invert_field(model, signed)
+                assert abs(root.observables.S1z - signed) <= 1e-12
 
     def test_extreme_target_needs_large_field(self):
-        field = invert_field(MODEL, 0.9999)
-        assert field > 50.0
-        assert abs(equilibrium_observables(MODEL, field).S1z - 0.9999) <= 1e-12
+        root = invert_field(MODEL, 0.9999)
+        assert root.Fz > 50.0
+        assert abs(root.observables.S1z - 0.9999) <= 1e-12
 
     def test_converges_across_large_beta_e_models(self):
         # beta e up to 9e4 with |g| < 0.3: S1z must move smoothly enough
@@ -232,8 +237,26 @@ class TestInvertField:
             cases.append((ModelParams(beta, e, g), rng.uniform(-0.99, 0.99, 5)))
         for model, targets in cases:
             for target in targets:
-                field = invert_field(model, float(target))
-                assert abs(equilibrium_observables(model, field).S1z - target) <= 1e-12, model
+                root = invert_field(model, float(target))
+                assert abs(root.observables.S1z - target) <= 1e-12, model
+
+    @pytest.mark.parametrize(
+        "model", [MODEL, ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1e5, 0.3), ModelParams(1e3, 2.0, -0.5)]
+    )
+    def test_evaluates_at_the_signed_field(self, fields, model):
+        # S1z is bitwise odd, so a negative target runs the iterates of the
+        # positive one at the negated fields; the observables returned are
+        # the ones evaluated at the returned root
+        for target in (0.05, 0.3, 0.77, 0.999, 1e-300):
+            fields.clear()
+            up = invert_field(model, target)
+            up_fields = list(fields)
+            fields.clear()
+            down = invert_field(model, -target)
+            assert bits(fields) == bits([-f for f in up_fields])
+            assert bits([down.Fz]) == bits([-up.Fz]) and up.Fz in up_fields
+            for root in (up, down):
+                assert bits(root.observables) == bits(equilibrium_observables(model, root.Fz))
 
     def test_unreachable_targets(self):
         for target in (1.0, -1.0, 1.2):

@@ -101,8 +101,8 @@ def test_affine_fit_recovers_affine_maps(seed):
 @given(st.floats(min_value=-0.98, max_value=0.98, allow_nan=False))
 def test_field_inversion_round_trip(target):
     model = ModelParams(1.0, 1.0, 1.5)
-    field = sp.invert_field(model, target)
-    assert abs(sp.equilibrium_observables(model, field).S1z - target) <= 1e-12
+    root = sp.invert_field(model, target)
+    assert abs(root.observables.S1z - target) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
