@@ -22,13 +22,9 @@ FIELDS = np.linspace(-2.0, 2.0, 5)
 WEIGHTS = (0.25, 0.5, 0.75)
 
 
-def end_state(model, fz):
-    return sp.EquilibriumPoint(fz, sp.equilibrium_observables(model, fz))
-
-
 def lattice_worst(beta_g):
     model = sp.ModelParams(1.0, 1.0, beta_g)
-    ends = [end_state(model, f) for f in FIELDS.tolist()]
+    ends = [sp.equilibrium_point(model, f) for f in FIELDS.tolist()]
     worst = None
     for end1 in ends:
         for end2 in ends:
@@ -52,7 +48,7 @@ def main():
 
     print("\nhow one defect arises (beta*g = 1.5, F1 = -2, F2 = +2, weight = 1/2):")
     model = sp.ModelParams(1.0, 1.0, 1.5)
-    end1, end2 = end_state(model, -2.0), end_state(model, 2.0)
+    end1, end2 = sp.equilibrium_point(model, -2.0), sp.equilibrium_point(model, 2.0)
     r = sp.convexity_test(model, end1, end2, 0.5)
     o1, o2 = end1.observables, end2.observables
     o3 = sp.equilibrium_observables(model, r.F3)

@@ -58,7 +58,7 @@ def correlation_residuals():
 def convexity_max_defect():
     model = sp.ModelParams(1.0, CANONICAL_BETA_E, 1.5)
     fields = np.linspace(CONVEXITY["f_min"], CONVEXITY["f_max"], CONVEXITY["f_steps"])
-    ends = [sp.EquilibriumPoint(f, sp.equilibrium_observables(model, f)) for f in fields.tolist()]
+    ends = [sp.equilibrium_point(model, f) for f in fields.tolist()]
     worst = 0.0
     for end1 in ends:
         for end2 in ends:

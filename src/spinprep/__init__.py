@@ -75,6 +75,7 @@ from .prepare import (
     OperatorSandwich,
     Preparation,
     blow_up,
+    equilibrium_point,
     equilibrium_state,
     invert_field,
     kubo_integral,

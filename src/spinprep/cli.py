@@ -64,11 +64,11 @@ from .model import (
 )
 from .prepare import (
     Equilibrium,
-    EquilibriumPoint,
     Factorizing,
     FactorizeAndWait,
     MoriLinearResponse,
     blow_up,
+    equilibrium_point,
     equilibrium_state,
     susceptibility,
 )
@@ -104,6 +104,12 @@ _MORI_S1Z = 0.05
 # residuals are gated themselves, below 1e-12; a quadratic residual at
 # beta_F = 0.02 is at most 5.2 times this, so it passes that gate too.
 _MORI_ROUNDOFF_FLOOR = 1e-13
+
+# Factorization residuals all below this are roundoff (near 1e-16 where the
+# environment spin is frozen, beta e = 1e308), so they cannot show a decay;
+# they are gated themselves instead, below 1e-12 times the tolerance scale.
+# The floor is not scaled: the scale loosens a gate, it does not pick one.
+_PECHUKAS_ROUNDOFF_FLOOR = 1e-12
 
 
 def _parse_preparation(text: str) -> str:
@@ -293,7 +299,7 @@ def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
     # each end state is evaluated once and shared by every test it takes part in
-    ends = [EquilibriumPoint(f, equilibrium_observables(model, f)) for f in fields]
+    ends = [equilibrium_point(model, f) for f in fields]
     rows: list[tuple] = []
     worst = 0.0
     for end1 in ends:
@@ -377,7 +383,7 @@ def _run_pechukas(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
     rows = [(beta_g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
-    if beta_g == 0.0 or max(values) < 1e-12 * cfg["tolerance_scale"]:
+    if beta_g == 0.0 or max(values) < _PECHUKAS_ROUNDOFF_FLOOR:
         # uncoupled the equilibrium state is a product, and where the
         # environment spin is frozen (beta e = 1e308) it is one to roundoff:
         # residuals that are all roundoff cannot show a decay

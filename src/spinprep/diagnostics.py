@@ -46,7 +46,7 @@ def convexity_test(
     """Check whether mixing two equilibrium preparations stays in the class.
 
     end1 and end2 are the two end states, each a field and the observables
-    there; the mixed state's observables are the ones its field inversion
+    there as equilibrium_point builds them; the mixed state's observables are the ones its field inversion
     evaluated at its root, so the test itself evaluates no closed form.
     """
     if not 0.0 < weight < 1.0:

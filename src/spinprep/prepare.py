@@ -280,6 +280,11 @@ class EquilibriumPoint(NamedTuple):
     observables: EquilibriumCurvePoint
 
 
+def equilibrium_point(model: ModelParams, Fz: float) -> EquilibriumPoint:
+    """The field Fz paired with equilibrium_observables(model, Fz)."""
+    return EquilibriumPoint(Fz, equilibrium_observables(model, Fz))
+
+
 def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
     """The field Fz with S1z(Fz) = target, to within 1e-12 in S1z, and the
     equilibrium observables at it.
@@ -313,7 +318,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
             supremum=sup,
         )
     if target_S1z == 0.0:
-        return EquilibriumPoint(0.0, equilibrium_observables(model, 0.0))
+        return equilibrium_point(model, 0.0)
 
     # Python floats throughout: inf - inf gives nan with no RuntimeWarning (a
     # numpy scalar warns), and the bracket test below rejects nan

@@ -146,7 +146,7 @@ def test_06_convexity_defect_lattice():
 
     def lattice_defects(beta_g):
         model = ModelParams(1.0, 1.0, beta_g)
-        ends = [sp.EquilibriumPoint(f, sp.equilibrium_observables(model, f)) for f in fields.tolist()]
+        ends = [sp.equilibrium_point(model, f) for f in fields.tolist()]
         worst = 0.0
         for end1 in ends:
             for end2 in ends:

@@ -278,6 +278,17 @@ class TestMoriCheckAndPechukas:
         code, _, err = run(capsys, *argv, "--tolerance-scale=1e-5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "subcommand,check", [("mori-check", "quadratic_order_bg_1"), ("pechukas", "residual_decay_bg_1")]
+    )
+    def test_tolerance_scale_does_not_skip_the_coupled_claim(self, capsys, subcommand, check):
+        # a loose scale loosens the roundoff gates but does not take their
+        # branch: at beta g = 1 the order and the decay are still checked
+        code, _, err = run(capsys, subcommand, "--tolerance-scale=1e12")
+        assert code == 0
+        assert summary_value(err, check) == "pass"
+        assert "_exact_bg_" not in err and "factorized_bg_" not in err
+
     def test_chi_is_gated_when_uncoupled(self, capsys):
         code, _, err = run(capsys, "mori-check", "--beta-g=0")
         assert code == 0

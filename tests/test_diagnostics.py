@@ -5,7 +5,6 @@ import pytest
 
 from spinprep import (
     Equilibrium,
-    EquilibriumPoint,
     MoriLinearResponse,
     PreparationDomainError,
     affinity_defect,
@@ -13,6 +12,7 @@ from spinprep import (
     chebyshev_targets,
     convexity_test,
     equilibrium_observables,
+    equilibrium_point,
     equilibrium_state,
     evenness_witness,
     factorization_residual,
@@ -35,12 +35,8 @@ def z_state(s1z):
     return reduced_from_bloch(np.array([0.0, 0.0, s1z]))
 
 
-def end(model, fz):
-    return EquilibriumPoint(fz, equilibrium_observables(model, fz))
-
-
 def mix(model, f1, f2, weight):
-    return convexity_test(model, end(model, f1), end(model, f2), weight)
+    return convexity_test(model, equilibrium_point(model, f1), equilibrium_point(model, f2), weight)
 
 
 # the models of the reuse tests: coupled, uncoupled, beta e = 1e5 (S1z steps
@@ -96,7 +92,7 @@ class TestConvexityTest:
     def test_rows_equal_a_fresh_evaluation_at_the_mixed_field(self, model):
         # the mixed state's observables come from its inversion: they are
         # those at F3 bit for bit, so every row is what re-evaluating gives
-        ends = [end(model, f) for f in (-2.0, -0.3, 0.0, 0.3, 2.0)]
+        ends = [equilibrium_point(model, f) for f in (-2.0, -0.3, 0.0, 0.3, 2.0)]
         for end1 in ends:
             for end2 in ends:
                 for lam in (0.25, 0.5, 0.75):

@@ -182,7 +182,7 @@ class TestInvertField:
             fields.clear()
             root = invert_field(MODEL, target)
             assert len(fields) <= 12, f"{len(fields)} closed-form evaluations for {target}"
-            assert abs(root.observables.S1z - target) <= 1e-12
+            assert abs(equilibrium_observables(MODEL, root.Fz).S1z - target) <= 1e-12
 
     def test_uncoupled_root_is_the_first_evaluation(self, fields):
         # uncoupled, S1z = tanh(beta Fz): the start atanh(target)/beta is the root
@@ -204,7 +204,7 @@ class TestInvertField:
             fields.clear()
             root = invert_field(model, target)
             counts.append(len(fields))
-            assert abs(root.observables.S1z - target) <= 1e-12, model
+            assert abs(equilibrium_observables(model, root.Fz).S1z - target) <= 1e-12, model
         assert np.mean(counts) <= 6.0, f"mean {np.mean(counts)} evaluations per inversion"
 
     @pytest.mark.parametrize("beta", [1e-3, 1.0, 50.0])
@@ -220,12 +220,12 @@ class TestInvertField:
                         invert_field(model, signed)
                     continue
                 root = invert_field(model, signed)
-                assert abs(root.observables.S1z - signed) <= 1e-12
+                assert abs(equilibrium_observables(model, root.Fz).S1z - signed) <= 1e-12
 
     def test_extreme_target_needs_large_field(self):
         root = invert_field(MODEL, 0.9999)
         assert root.Fz > 50.0
-        assert abs(root.observables.S1z - 0.9999) <= 1e-12
+        assert abs(equilibrium_observables(MODEL, root.Fz).S1z - 0.9999) <= 1e-12
 
     def test_converges_across_large_beta_e_models(self):
         # beta e up to 9e4 with |g| < 0.3: S1z must move smoothly enough
@@ -238,7 +238,9 @@ class TestInvertField:
         for model, targets in cases:
             for target in targets:
                 root = invert_field(model, float(target))
-                assert abs(root.observables.S1z - target) <= 1e-12, model
+                fresh = equilibrium_observables(model, root.Fz)
+                assert abs(fresh.S1z - target) <= 1e-12, model
+                assert bits(root.observables) == bits(fresh), model
 
     @pytest.mark.parametrize(
         "model", [MODEL, ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1e5, 0.3), ModelParams(1e3, 2.0, -0.5)]

@@ -102,7 +102,9 @@ def test_affine_fit_recovers_affine_maps(seed):
 def test_field_inversion_round_trip(target):
     model = ModelParams(1.0, 1.0, 1.5)
     root = sp.invert_field(model, target)
-    assert abs(root.observables.S1z - target) <= 1e-12
+    fresh = sp.equilibrium_observables(model, root.Fz)
+    assert abs(fresh.S1z - target) <= 1e-12
+    assert root.observables == fresh
 
 
 @settings(max_examples=25, deadline=None)
