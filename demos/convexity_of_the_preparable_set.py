@@ -24,7 +24,7 @@ WEIGHTS = (0.25, 0.5, 0.75)
 
 def lattice_worst(beta_g):
     model = sp.ModelParams(1.0, 1.0, beta_g)
-    ends = [sp.equilibrium_point(model, f) for f in FIELDS.tolist()]
+    ends = [sp.equilibrium_observables(model, f) for f in FIELDS.tolist()]
     worst = None
     for end1 in ends:
         for end2 in ends:
@@ -48,9 +48,8 @@ def main():
 
     print("\nhow one defect arises (beta*g = 1.5, F1 = -2, F2 = +2, weight = 1/2):")
     model = sp.ModelParams(1.0, 1.0, 1.5)
-    end1, end2 = sp.equilibrium_point(model, -2.0), sp.equilibrium_point(model, 2.0)
-    r = sp.convexity_test(model, end1, end2, 0.5)
-    o1, o2 = end1.observables, end2.observables
+    o1, o2 = sp.equilibrium_observables(model, -2.0), sp.equilibrium_observables(model, 2.0)
+    r = sp.convexity_test(model, o1, o2, 0.5)
     o3 = sp.equilibrium_observables(model, r.F3)
     print(f"  S1z mixes to {0.5 * o1.S1z + 0.5 * o2.S1z:+.6f} -> F3 = {r.F3:+.6f} (exact)")
     print(f"  Cxx at F3:        {o3.Cxx:+.6f}")

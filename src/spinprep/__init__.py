@@ -68,14 +68,12 @@ from .model import (
 )
 from .prepare import (
     Equilibrium,
-    EquilibriumPoint,
     Factorizing,
     FactorizeAndWait,
     MoriLinearResponse,
     OperatorSandwich,
     Preparation,
     blow_up,
-    equilibrium_point,
     equilibrium_state,
     invert_field,
     kubo_integral,

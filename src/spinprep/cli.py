@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .errors import DomainError, ValidationError
 from .evolve import chebyshev_targets, fit_affine_map, propagator, reduced_evolution
-from .linalg import partial_trace
+from .linalg import partial_trace, require_density
 from .model import (
     SZ,
     ModelParams,
@@ -68,7 +68,6 @@ from .prepare import (
     FactorizeAndWait,
     MoriLinearResponse,
     blow_up,
-    equilibrium_point,
     equilibrium_state,
     susceptibility,
 )
@@ -173,17 +172,18 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
-    Every number and list entry must be finite, every list nonempty,
-    fd_step and tolerance_scale positive, fz_min below fz_max, s1z_max and
-    every mixing weight in lambdas inside (0, 1), fz_list at least two fields
-    long, fz_grid at least five fields with at least two distinct ones (the
-    affine fit's minimum; the Mori preparation samples its own states),
-    samples at least 2, f_steps at least 1, points at least 3 and steps at
-    least 2, so that no run tests nothing; no coupling may appear twice in
-    beta_g (0 and -0 are the same coupling), so every run-summary key is
-    unique; prep must name a preparation of the table, and t0 must be
-    positive for factorize-and-wait.  A violation is a configuration error
-    (exit 2), found before any runner starts.
+    Every number and list entry must be finite, every list nonempty, fd_step
+    and tolerance_scale positive, fz_min below fz_max, the field widths
+    fz_max - fz_min and f_max - f_min finite (so that no grid step
+    overflows), s1z_max and every mixing weight in lambdas inside (0, 1),
+    fz_list at least two fields long, fz_grid at least five fields with at
+    least two distinct ones (the affine fit's minimum; the Mori preparation
+    samples its own states), samples at least 2, f_steps at least 1, points
+    at least 3 and steps at least 2, so that no run tests nothing; no
+    coupling may appear twice in beta_g (0 and -0 are the same coupling), so
+    every run-summary key is unique; prep must name a preparation of the
+    table, and t0 must be positive for factorize-and-wait.  A violation is a
+    configuration error (exit 2), found before any runner starts.
     """
     schema = _SUBCOMMANDS[args.subcommand].options
     config = _read_config(args.config) if args.config else {}
@@ -215,6 +215,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
     if "fz_min" in cfg and not cfg["fz_min"] < cfg["fz_max"]:
         raise ValueError(f"fz-min must be below fz-max, got {cfg['fz_min']} and {cfg['fz_max']}")
+    for lo, hi in (("fz_min", "fz_max"), ("f_min", "f_max")):
+        if lo in cfg and not math.isfinite(cfg[hi] - cfg[lo]):
+            raise ValueError(f"the width of the field range must be finite, got {cfg[lo]} to {cfg[hi]}")
     if "s1z_max" in cfg and not 0.0 < cfg["s1z_max"] < 1.0:
         raise ValueError(f"s1z-max must lie strictly between 0 and 1, got {cfg['s1z_max']}")
     if "lambdas" in cfg and not all(0.0 < lam < 1.0 for lam in cfg["lambdas"]):
@@ -299,7 +302,7 @@ def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
     # each end state is evaluated once and shared by every test it takes part in
-    ends = [equilibrium_point(model, f) for f in fields]
+    ends = [equilibrium_observables(model, f) for f in fields]
     rows: list[tuple] = []
     worst = 0.0
     for end1 in ends:
@@ -322,7 +325,16 @@ def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
         samples = [reduced_from_bloch(np.array(b) * 0.9) for b in bloch]
     else:
         samples = _into_range(cfg, prep, [_z_state(float(s)) for s in targets])
-    defect = affinity_defect(lambda rs: blow_up(prep, rs), samples, cfg["lambdas"])
+
+    def image(rho_s):
+        state = blow_up(prep, rho_s)
+        # the Mori blow-up can leave the states; it is affine, so every image
+        # is a mix of the two end images, and those two are checked
+        if cfg["prep"] == "mori" and (rho_s is samples[0] or rho_s is samples[-1]):
+            require_density(state, "the Mori blow-up of an end sample")
+        return state
+
+    defect = affinity_defect(image, samples, cfg["lambdas"])
     name = f"affinity_{cfg['prep']}_bg_{_fmt(beta_g)}"
     check = _preparation_gate(cfg, beta_g, "affinity", name, defect)
     return [(cfg["prep"], cfg["beta_e"], beta_g, defect)], [check]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError, PreparationDomainError
 from .linalg import kron, partial_trace
-from .model import ModelParams, equilibrium_observables
-from .prepare import EquilibriumPoint, invert_field
+from .model import EquilibriumCurvePoint, ModelParams, equilibrium_observables
+from .prepare import invert_field
 
 
 @dataclass(frozen=True)
@@ -41,26 +41,23 @@ class ConvexityTestResult:
 
 
 def convexity_test(
-    model: ModelParams, end1: EquilibriumPoint, end2: EquilibriumPoint, weight: float
+    model: ModelParams, obs1: EquilibriumCurvePoint, obs2: EquilibriumCurvePoint, weight: float
 ) -> ConvexityTestResult:
     """Check whether mixing two equilibrium preparations stays in the class.
 
-    end1 and end2 are the two end states, each a field and the observables
-    there as equilibrium_point builds them; the mixed state's observables are the ones its field inversion
-    evaluated at its root, so the test itself evaluates no closed form.
+    obs1 and obs2 are the two end states, as equilibrium_observables returns
+    them; the mixed state's are the ones its field inversion evaluated at its
+    root, so the test itself evaluates no closed form.
     """
     if not 0.0 < weight < 1.0:
         raise ValueError(f"mixing weight must lie in (0, 1), got {weight}")
-    obs1, obs2 = end1.observables, end2.observables
-    mixed = invert_field(model, weight * obs1.S1z + (1.0 - weight) * obs2.S1z)
-    obs3 = mixed.observables
-
+    obs3 = invert_field(model, weight * obs1.S1z + (1.0 - weight) * obs2.S1z)
     s2_defect = abs(obs3.S2z - weight * obs1.S2z - (1.0 - weight) * obs2.S2z)
     c_defect = max(
         abs(getattr(obs3, name) - weight * getattr(obs1, name) - (1.0 - weight) * getattr(obs2, name))
         for name in ("Cxx", "Cyy", "Czz")
     )
-    return ConvexityTestResult(weight, end1.Fz, end2.Fz, mixed.Fz, float(s2_defect), float(c_defect))
+    return ConvexityTestResult(weight, obs1.Fz, obs2.Fz, obs3.Fz, float(s2_defect), float(c_defect))
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
         raise ValueError(f"linearity scan needs at least 3 grid points, got {s1z.size}")
     if not (s1z != s1z[0]).any():
         raise ValueError("linearity scan needs at least 2 distinct S1z values")
-    rows = [invert_field(model, s).observables for s in s1z]
+    rows = [invert_field(model, s) for s in s1z]
     curves = {
         name: np.array([getattr(r, name) for r in rows])
         for name in ("S2z", "Cxx", "Cyy", "Czz")
@@ -235,8 +232,8 @@ def figure_sweep(
         raise ValueError("need at least one beta_g value")
     if steps < 2:
         raise ValueError(f"need at least 2 field steps, got {steps}")
-    if not (np.isfinite(fz_min) and np.isfinite(fz_max) and np.isfinite(beta_e)):
-        raise ValueError("sweep bounds and beta_e must be finite")
+    if not (math.isfinite(float(fz_max) - float(fz_min)) and np.isfinite(beta_e)):
+        raise ValueError("sweep bounds, their width and beta_e must be finite")
     if not all(np.isfinite(g) for g in beta_g_values):
         raise ValueError("beta_g values must be finite")
     fields = np.linspace(fz_min, fz_max, steps)
@@ -244,6 +241,5 @@ def figure_sweep(
     for beta_g in beta_g_values:
         model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
         for fz in fields.tolist():
-            p = equilibrium_observables(model, fz)
-            rows.append(SweepRow(beta_g, p.beta_Fz, p.S1z, p.S2z, p.Cxx, p.Cyy, p.Czz))
+            rows.append(SweepRow(beta_g, *equilibrium_observables(model, fz)))
     return rows

@@ -56,8 +56,15 @@ class ModelParams:
 
 
 def hamiltonian(p: ModelParams, Fz: float) -> np.ndarray:
-    """H = -Fz sigma1_z + e sigma2_z + g sigma1_x sigma2_x as a 4x4 matrix."""
-    return -Fz * SIGMA1[2] + p.e * SIGMA2[2] + p.g * CORR[0][0]
+    """H = -Fz sigma1_z + e sigma2_z + g sigma1_x sigma2_x as a 4x4 matrix.
+
+    An entry beyond the largest double raises DomainError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = -Fz * SIGMA1[2] + p.e * SIGMA2[2] + p.g * CORR[0][0]
+    if not np.isfinite(h).all():
+        raise DomainError(f"an entry of H overflows at e = {p.e}, g = {p.g}, Fz = {Fz}")
+    return h
 
 
 def energies(p: ModelParams, Fz: float) -> np.ndarray:
@@ -164,9 +171,10 @@ def aux_F(sign: int, x: float, y: float) -> float:
 
 
 class EquilibriumCurvePoint(NamedTuple):
-    """Equilibrium observables at one field value (all dimensionless, in [-1, 1])."""
+    """The field Fz, exactly as passed to equilibrium_observables, and the
+    five equilibrium observables at it (dimensionless, in [-1, 1])."""
 
-    beta_Fz: float
+    Fz: float
     S1z: float
     S2z: float
     Cxx: float
@@ -207,7 +215,7 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
     d = beta * Fz * (e / r_mean) if r_mean else 0.0
     f_plus, f_minus, czz = _equilibrium_kernel(x, y, d)
     return EquilibriumCurvePoint(
-        beta * Fz,
+        Fz,
         beta * (Fz * f_plus - e * f_minus),
         beta * (Fz * f_minus - e * f_plus),
         -beta * g * f_plus,

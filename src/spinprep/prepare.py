@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +58,10 @@ TRACE_BACK_ATOL = 1e-10
 
 _CHI_MAX_COND = 1e12
 
+# The Mori trust region: a blow-up whose inferred fields reach |beta F_i| above
+# this still evaluates, but emits ExtrapolationWarning.
+MORI_BETA_F_MAX = 0.2
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """a, made read-only: the invariants a preparation stores stay fixed."""
@@ -80,7 +83,7 @@ class Equilibrium:
     model: ModelParams
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
-        return _equilibrium_matrix(invert_field(self.model, qubit_bloch(rho_S)[2]).observables)
+        return _equilibrium_matrix(invert_field(self.model, qubit_bloch(rho_S)[2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +171,7 @@ class MoriLinearResponse:
     """Linear-response preparation around zero field.
 
     observables are the Hermitian system (2x2) operators conjugate to the
-    external fields.  beta_f_max bounds |beta * F_i| of the inferred fields;
-    beyond it the blow-up still evaluates but emits ExtrapolationWarning.
+    external fields.
 
     Construction computes the zero-field state rho0, its reduced state
     rho0_S, the Kubo operators kubo[j] of the observables and the
@@ -183,7 +185,6 @@ class MoriLinearResponse:
 
     model: ModelParams
     observables: tuple
-    beta_f_max: float = 0.2
     rho0: np.ndarray = field(init=False, repr=False)
     rho0_S: np.ndarray = field(init=False, repr=False)
     kubo: tuple = field(init=False, repr=False)
@@ -195,8 +196,6 @@ class MoriLinearResponse:
     def __post_init__(self):
         if len(self.observables) == 0:
             raise ValueError("linear-response preparation requires at least one observable")
-        if not self.beta_f_max > 0.0:
-            raise ValueError(f"beta_f_max must be positive, got {self.beta_f_max}")
         rho0 = equilibrium_state(self.model, 0.0)
         h0 = hamiltonian(self.model, 0.0)
         total_obs = [embed_system(x) for x in self.observables]
@@ -269,25 +268,9 @@ def _equilibrium_matrix(p: EquilibriumCurvePoint) -> np.ndarray:
     )
 
 
-class EquilibriumPoint(NamedTuple):
-    """A field Fz and the equilibrium observables evaluated at it.
-
-    invert_field returns the one at its root; convexity_test takes two as
-    the end states it mixes.
-    """
-
-    Fz: float
-    observables: EquilibriumCurvePoint
-
-
-def equilibrium_point(model: ModelParams, Fz: float) -> EquilibriumPoint:
-    """The field Fz paired with equilibrium_observables(model, Fz)."""
-    return EquilibriumPoint(Fz, equilibrium_observables(model, Fz))
-
-
-def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
-    """The field Fz with S1z(Fz) = target, to within 1e-12 in S1z, and the
-    equilibrium observables at it.
+def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumCurvePoint:
+    """The equilibrium observables at the field Fz with S1z(Fz) = target, to
+    within 1e-12 in S1z; their Fz is that field.
 
     S1z is odd and strictly increasing in Fz, and uncoupled it is exactly
     tanh(beta Fz).  The root is therefore sought in atanh coordinates, where
@@ -306,9 +289,9 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
 
     The iteration runs on |Fz| and sign(target) S1z, but each evaluation is
     at the signed field copysign(|Fz|, target): S1z is bitwise odd, so the
-    iterates are those of the positive target, and the returned observables
-    are exactly equilibrium_observables(model, Fz) at the returned Fz.  A
-    zero target is one evaluation, at Fz = 0.
+    iterates are those of the positive target, and the result is exactly
+    equilibrium_observables(model, Fz) at its Fz.  A zero target is one
+    evaluation, at Fz = 0.
     """
     sup = 1.0  # sup |S1z| over all fields, approached only as Fz -> +-inf
     if not abs(target_S1z) < sup:
@@ -318,7 +301,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
             supremum=sup,
         )
     if target_S1z == 0.0:
-        return equilibrium_point(model, 0.0)
+        return equilibrium_observables(model, 0.0)
 
     # Python floats throughout: inf - inf gives nan with no RuntimeWarning (a
     # numpy scalar warns), and the bracket test below rejects nan
@@ -332,13 +315,12 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
     x = phi_goal / beta
     root, r = None, math.inf
     while True:
-        fz = sign * x
-        obs = equilibrium_observables(model, fz)
+        obs = equilibrium_observables(model, sign * x)
         s = sign * obs.S1z
         r_x = s - goal
         phi = math.atanh(s) - phi_goal if s < 1.0 else math.inf
         if abs(r_x) < abs(r):
-            root, r = (fz, obs), r_x
+            root, r = obs, r_x
         if abs(r) <= 1e-14:
             break
         if r_x < 0.0:
@@ -363,7 +345,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumPoint:
         raise RuntimeError(
             f"field inversion did not converge for target S1z = {target_S1z}"
         )
-    return EquilibriumPoint(*root)
+    return root
 
 
 def operator_sandwich_state(model: ModelParams, Fz: float, ops) -> tuple[np.ndarray, DensityReport]:
@@ -448,17 +430,17 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     construction, so the map is affine in rho_S.  For rho_S equal to the
     reduced zero-field state all field estimates vanish and rho0 is returned
     exactly.  Emits ExtrapolationWarning when some |beta F_i| exceeds
-    prep.beta_f_max.
+    MORI_BETA_F_MAX.
     """
     fields = mori_fields(prep, rho_S)
     state = prep.rho0  # never returned as is: there is at least one observable
     for k, f in zip(prep.kubo, fields):
         state = state + f * k
     beta_field = prep.model.beta * float(np.abs(fields).max())
-    if beta_field > prep.beta_f_max:
+    if beta_field > MORI_BETA_F_MAX:
         warnings.warn(
             f"inferred fields reach |beta F| = {beta_field:.3f}, beyond the "
-            f"linear-response trust region {prep.beta_f_max}; result is an extrapolation",
+            f"linear-response trust region {MORI_BETA_F_MAX}; result is an extrapolation",
             ExtrapolationWarning,
             stacklevel=2,
         )

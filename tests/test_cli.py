@@ -307,10 +307,12 @@ class TestMoriCheckAndPechukas:
         assert summary_value(err, f"chi_matches_fd_bg_{beta_g}") == "pass"
         assert summary_value(err, f"quadratic_order_bg_{beta_g}") == "pass"
 
-    def test_mori_evolution_of_a_non_positive_blow_up_is_an_input_error(self, capsys):
+    @pytest.mark.parametrize("subcommand", ["evolve", "affinity"])
+    def test_non_positive_mori_blow_up_is_an_input_error(self, capsys, subcommand):
         # at (40, 30) the linear-response state of every nonzero field has an
-        # eigenvalue near -1.1e-7: there is no total state to evolve
-        code, out, err = run(capsys, "evolve", "--prep=mori", "--beta-e=40", "--beta-g=30")
+        # eigenvalue near -1e-7: there is no total state to evolve, and an
+        # affinity defect of roundoff measures an affine map onto non-states
+        code, out, err = run(capsys, subcommand, "--prep=mori", "--beta-e=40", "--beta-g=30")
         assert code == 2
         assert out == ""
         assert "not a valid density matrix" in err
@@ -350,6 +352,26 @@ class TestInputsNearTheLargestDouble:
         assert code == 2
         assert out == ""
         assert "energy overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a grid whose width overflows np.linspace
+            (("sweep-bloch", "--fz-min=-1e308", "--fz-max=1e308"), "width of the field range"),
+            (("convexity", "--f-min=-1e308", "--f-max=1e308"), "width of the field range"),
+            (("convexity", "--f-min=1e308", "--f-max=-1e308"), "width of the field range"),
+            # a diagonal entry -Fz -+ e of H
+            (("evolve", "--beta-e=-1e308", "--evolve-fz=1e308"), "an entry of H overflows"),
+            (("evolve", "--beta-e=1e308", "--evolve-fz=1e308"), "an entry of H overflows"),
+        ],
+        ids=["sweep-bloch", "convexity", "convexity-descending", "evolve-H", "evolve-H-same-sign"],
+    )
+    def test_sum_beyond_the_largest_double_is_an_input_error(self, capsys, argv, message):
+        # two finite inputs whose sum or difference is not
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv",

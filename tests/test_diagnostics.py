@@ -12,7 +12,6 @@ from spinprep import (
     chebyshev_targets,
     convexity_test,
     equilibrium_observables,
-    equilibrium_point,
     equilibrium_state,
     evenness_witness,
     factorization_residual,
@@ -36,7 +35,8 @@ def z_state(s1z):
 
 
 def mix(model, f1, f2, weight):
-    return convexity_test(model, equilibrium_point(model, f1), equilibrium_point(model, f2), weight)
+    ends = equilibrium_observables(model, f1), equilibrium_observables(model, f2)
+    return convexity_test(model, *ends, weight)
 
 
 # the models of the reuse tests: coupled, uncoupled, beta e = 1e5 (S1z steps
@@ -92,22 +92,21 @@ class TestConvexityTest:
     def test_rows_equal_a_fresh_evaluation_at_the_mixed_field(self, model):
         # the mixed state's observables come from its inversion: they are
         # those at F3 bit for bit, so every row is what re-evaluating gives
-        ends = [equilibrium_point(model, f) for f in (-2.0, -0.3, 0.0, 0.3, 2.0)]
-        for end1 in ends:
-            for end2 in ends:
+        ends = [equilibrium_observables(model, f) for f in (-2.0, -0.3, 0.0, 0.3, 2.0)]
+        for o1 in ends:
+            for o2 in ends:
                 for lam in (0.25, 0.5, 0.75):
-                    r = convexity_test(model, end1, end2, lam)
-                    o1, o2 = end1.observables, end2.observables
+                    r = convexity_test(model, o1, o2, lam)
                     target = lam * o1.S1z + (1.0 - lam) * o2.S1z
                     o3 = equilibrium_observables(model, r.F3)
-                    assert bits(invert_field(model, target).observables) == bits(o3)
+                    assert bits(invert_field(model, target)) == bits(o3)
                     s2 = abs(o3.S2z - lam * o1.S2z - (1.0 - lam) * o2.S2z)
                     c = max(
                         abs(getattr(o3, n) - lam * getattr(o1, n) - (1.0 - lam) * getattr(o2, n))
                         for n in ("Cxx", "Cyy", "Czz")
                     )
                     assert bits((r.S2_defect, r.C_defect)) == bits((s2, c))
-                    assert (r.F1, r.F2) == (end1.Fz, end2.Fz)
+                    assert (r.F1, r.F2) == (o1.Fz, o2.Fz)
 
 
 class TestLinearityScan:
@@ -324,6 +323,9 @@ class TestFigureSweep:
             figure_sweep(1.0, [1.0], -5.0, 5.0, 1)
         with pytest.raises(ValueError):
             figure_sweep(1.0, [1.0], -np.inf, 5.0, 10)
+        with pytest.raises(ValueError, match="width"):
+            # finite bounds whose width overflows np.linspace
+            figure_sweep(1.0, [1.0], -1e308, 1e308, 10)
 
     def test_deterministic(self):
         a = figure_sweep(1.0, [0.5, 1.5], -3.0, 3.0, 21)

@@ -143,6 +143,13 @@ class TestHamiltonian:
             np.sort(energies(ModelParams(1.0, 1.0, 1.0), 2.0)), expected, 1e-15, "energies()"
         )
 
+    def test_entry_beyond_the_largest_double_is_a_domain_error(self):
+        # the diagonal holds -Fz -+ e: finite parameters, an overflowing sum
+        for e, fz in ((-1e308, 1e308), (1e308, 1e308), (1e308, -1e308)):
+            with pytest.raises(DomainError, match="overflows"):
+                hamiltonian(ModelParams(1.0, e, 0.0), fz)
+        assert np.isfinite(hamiltonian(ModelParams(1.0, 1e308, 1e308), 0.0)).all()
+
     def test_bad_params_rejected(self):
         with pytest.raises(DomainError):
             ModelParams(0.0, 1.0, 1.0)
@@ -299,7 +306,7 @@ class TestEquilibriumObservables:
             model = ModelParams(beta, e, g)
             for f in (fz, -fz):
                 plus, minus = equilibrium_observables(model, f), equilibrium_observables(model, -f)
-                for name in ("beta_Fz", "S1z", "Czz"):
+                for name in ("Fz", "S1z", "Czz"):
                     assert bits([getattr(minus, name)]) == bits([-getattr(plus, name)]), (model, f)
                 for name in ("S2z", "Cxx"):
                     assert bits([getattr(minus, name)]) == bits([getattr(plus, name)]), (model, f)
@@ -331,7 +338,7 @@ class TestEquilibriumObservables:
         beta, e, g, fz = KERNEL_POINTS[point]
         p = equilibrium_observables(ModelParams(beta, e, g), fz)
         assert tuple(float(v).hex() for v in p[1:]) == KERNEL_BITS[point]
-        assert p.beta_Fz == beta * fz
+        assert bits([p.Fz]) == bits([fz])
 
     @pytest.mark.parametrize(
         "beta, e, g, fz",

@@ -157,7 +157,7 @@ class TestInvertField:
             fields.clear()
             root = invert_field(MODEL, target)
             assert fields == [0.0] and math.copysign(1.0, fields[0]) == 1.0
-            assert root == (0.0, equilibrium_observables(MODEL, 0.0))
+            assert root == equilibrium_observables(MODEL, 0.0)
             assert math.copysign(1.0, root.Fz) == 1.0
 
     def test_round_trips(self):
@@ -240,7 +240,7 @@ class TestInvertField:
                 root = invert_field(model, float(target))
                 fresh = equilibrium_observables(model, root.Fz)
                 assert abs(fresh.S1z - target) <= 1e-12, model
-                assert bits(root.observables) == bits(fresh), model
+                assert bits(root) == bits(fresh), model
 
     @pytest.mark.parametrize(
         "model", [MODEL, ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1e5, 0.3), ModelParams(1e3, 2.0, -0.5)]
@@ -258,7 +258,7 @@ class TestInvertField:
             assert bits(fields) == bits([-f for f in up_fields])
             assert bits([down.Fz]) == bits([-up.Fz]) and up.Fz in up_fields
             for root in (up, down):
-                assert bits(root.observables) == bits(equilibrium_observables(model, root.Fz))
+                assert bits(root) == bits(equilibrium_observables(model, root.Fz))
 
     def test_unreachable_targets(self):
         for target in (1.0, -1.0, 1.2):
