@@ -26,13 +26,14 @@ COUPLINGS = (0.5, 1.0, 1.5)
 
 
 def main(argv):
-    rows = sp.figure_sweep(1.0, COUPLINGS, -5.0, 5.0, 201)
+    curves = {beta_g: sp.figure_sweep(1.0, beta_g, -5.0, 5.0, 201) for beta_g in COUPLINGS}
     csv_path = HERE / "bloch_curves.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("beta_g,beta_Fz,S1z\n")
-        for r in rows:
-            fh.write(f"{r.beta_g:.17g},{r.beta_Fz:.17g},{r.S1z:.17g}\n")
-    print(f"wrote {csv_path} ({len(rows)} points)")
+        for beta_g, points in curves.items():
+            for p in points:
+                fh.write(f"{beta_g:.17g},{p.Fz:.17g},{p.S1z:.17g}\n")
+    print(f"wrote {csv_path} ({sum(map(len, curves.values()))} points)")
 
     print("\nzero-field slope d S1z / d(beta Fz):")
     for beta_g in COUPLINGS:
@@ -45,8 +46,8 @@ def main(argv):
         chi = sp.susceptibility(model, [SZ])[0, 0]
         print(f"  beta*g = {beta_g}: slope = {slope:.6f} (susceptibility {chi:.6f})")
 
-    for beta_g in COUPLINGS:
-        s1z = [r.S1z for r in rows if r.beta_g == beta_g]
+    for points in curves.values():
+        s1z = [p.S1z for p in points]
         assert all(b > a for a, b in zip(s1z, s1z[1:]))
     print("\nall three curves are strictly monotone: the field inversion is well defined")
 
@@ -60,9 +61,8 @@ def main(argv):
             print("matplotlib not available; skipping the plot", file=sys.stderr)
             return
         fig, ax = plt.subplots(figsize=(6, 4))
-        for beta_g in COUPLINGS:
-            pts = [(r.beta_Fz, r.S1z) for r in rows if r.beta_g == beta_g]
-            ax.plot(*zip(*pts), label=f"$\\beta g = {beta_g}$")
+        for beta_g, points in curves.items():
+            ax.plot([p.Fz for p in points], [p.S1z for p in points], label=f"$\\beta g = {beta_g}$")
         ax.set_xlabel(r"$\beta F_z$")
         ax.set_ylabel(r"$S_{1z}$")
         ax.legend()

@@ -12,7 +12,6 @@ from .diagnostics import (
     EvennessReport,
     LineFit,
     LinearityReport,
-    SweepRow,
     affinity_defect,
     convexity_test,
     evenness_witness,
@@ -57,7 +56,6 @@ from .model import (
     EquilibriumCurvePoint,
     ModelParams,
     analytic_spectrum,
-    aux_F,
     bloch_compose,
     bloch_decompose,
     energies,

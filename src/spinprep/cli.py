@@ -241,7 +241,9 @@ def _write_csv(path: str | None, header: tuple[str, ...], rows: list[tuple]) -> 
     lines = [",".join(header)]
     if rows:
         # one row template, the same bytes as _fmt per cell: every row of a
-        # subcommand has the cell types of its first
+        # subcommand has the cell types of its first.  A cell that is already
+        # text (a --prep name, or sweep-bloch's coupling, which it formats
+        # with _fmt once per coupling) is written as is with %s
         template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
         lines.extend(template % row for row in rows)
     text = "\n".join(lines) + "\n"
@@ -282,10 +284,11 @@ def _into_range(cfg: dict, prep, states: list) -> list:
 
 
 def _run_sweep_bloch(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    rows = figure_sweep(cfg["beta_e"], [beta_g], cfg["fz_min"], cfg["fz_max"], cfg["steps"])
-    rises = np.diff([r.S1z for r in rows])
-    check = Check(f"s1z_monotone_bg_{_fmt(beta_g)}", bool(np.all(rises > 0.0)), float(rises.min()))
-    return [tuple(r) for r in rows], [check]
+    points = figure_sweep(cfg["beta_e"], beta_g, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
+    rises = np.diff([p.S1z for p in points])
+    coupling = _fmt(beta_g)  # the same cell in every row, formatted once
+    check = Check(f"s1z_monotone_bg_{coupling}", bool(np.all(rises > 0.0)), float(rises.min()))
+    return [(coupling, *p) for p in points], [check]
 
 
 def _run_sweep_linearity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:

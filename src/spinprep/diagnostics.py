@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,40 +205,22 @@ def factorization_residual(rho) -> float:
     return float(np.linalg.norm(np.asarray(rho, dtype=complex) - kron(rho_s, chi)))
 
 
-class SweepRow(NamedTuple):
-    """One line of a field sweep: coupling, field, and the five observables."""
-
-    beta_g: float
-    beta_Fz: float
-    S1z: float
-    S2z: float
-    Cxx: float
-    Cyy: float
-    Czz: float
-
-
 def figure_sweep(
-    beta_e: float, beta_g_values, fz_min: float, fz_max: float, steps: int
-) -> list[SweepRow]:
-    """Equilibrium observables on a (beta_g, beta_Fz) grid, deterministically ordered.
+    beta_e: float, beta_g: float, fz_min: float, fz_max: float, steps: int
+) -> list[EquilibriumCurvePoint]:
+    """Equilibrium observables of one coupling on a beta_Fz grid, in field order.
 
     The sweep is parametrized by the dimensionless products beta*e, beta*g,
     beta*Fz (beta is set to 1 internally, which is fully general for these
-    observables).  Rows are ordered by beta_g first, then beta_Fz.
+    observables).  Each point is equilibrium_observables at one of the steps
+    fields of np.linspace(fz_min, fz_max, steps).
     """
-    beta_g_values = list(beta_g_values)
-    if not beta_g_values:
-        raise ValueError("need at least one beta_g value")
     if steps < 2:
         raise ValueError(f"need at least 2 field steps, got {steps}")
     if not (math.isfinite(float(fz_max) - float(fz_min)) and np.isfinite(beta_e)):
         raise ValueError("sweep bounds, their width and beta_e must be finite")
-    if not all(np.isfinite(g) for g in beta_g_values):
-        raise ValueError("beta_g values must be finite")
-    fields = np.linspace(fz_min, fz_max, steps)
-    rows = []
-    for beta_g in beta_g_values:
-        model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
-        for fz in fields.tolist():
-            rows.append(SweepRow(beta_g, *equilibrium_observables(model, fz)))
-    return rows
+    if not np.isfinite(beta_g):
+        raise ValueError("beta_g must be finite")
+    model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
+    fields = np.linspace(fz_min, fz_max, steps).tolist()
+    return [equilibrium_observables(model, fz) for fz in fields]

@@ -154,22 +154,6 @@ def _equilibrium_kernel(x: float, y: float, d: float) -> tuple[float, float, flo
     return 0.5 * (a_x + a_y), 0.5 * (a_x - a_y), ts * td
 
 
-def aux_F(sign: int, x: float, y: float) -> float:
-    """The auxiliary functions
-
-        F+-(x, y) = (y sinh(x) +- x sinh(y)) / (x y (cosh(x) + cosh(y))),
-
-    which are finite and accurate also at zero arguments.  Satisfies
-    F+-(x, y) = +-F+-(y, x) and is even in each argument separately.  One of
-    the three outputs of the closed form that equilibrium_observables
-    evaluates, here with the half-difference d = (x - y)/2 formed directly;
-    overflow-safe for any arguments.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _equilibrium_kernel(x, y, 0.5 * (x - y))[0 if sign == 1 else 1]
-
-
 class EquilibriumCurvePoint(NamedTuple):
     """The field Fz, exactly as passed to equilibrium_observables, and the
     five equilibrium observables at it (dimensionless, in [-1, 1])."""
@@ -214,14 +198,15 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
     r_mean = 0.5 * r_minus + 0.5 * r_plus  # >= |e|, and 0 only at e = g = Fz = 0
     d = beta * Fz * (e / r_mean) if r_mean else 0.0
     f_plus, f_minus, czz = _equilibrium_kernel(x, y, d)
-    return EquilibriumCurvePoint(
+    # _make takes the one tuple as is, past the keyword handling of __new__
+    return EquilibriumCurvePoint._make((
         Fz,
         beta * (Fz * f_plus - e * f_minus),
         beta * (Fz * f_minus - e * f_plus),
         -beta * g * f_plus,
         beta * g * f_minus,
         czz,
-    )
+    ))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ All constructors and maps are pure; preparation values are immutable.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -423,6 +424,17 @@ def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     return prep.chi_inv @ (prep.bloch_rows @ (qubit_bloch(rho_S) - prep.s0))
 
 
+def _outside_stacklevel() -> int:
+    """The warnings.warn stacklevel, counted from the caller, of the first
+    frame outside this module: a warning names the line that called into
+    the module, whether that called mori_blow_up directly or through blow_up.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     """Linear-response blow-up: rho0 + sum_i F_i K_i with F from mori_fields.
 
@@ -442,7 +454,7 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
             f"inferred fields reach |beta F| = {beta_field:.3f}, beyond the "
             f"linear-response trust region {MORI_BETA_F_MAX}; result is an extrapolation",
             ExtrapolationWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     return state
 

@@ -91,6 +91,19 @@ class TestSweepBloch:
         _write_csv(str(target), header, rows)
         assert target.read_bytes() == expected.encode()
 
+    def test_rows_are_the_cells_of_each_figure_sweep_point(self, capsys):
+        # the coupling cell, formatted once per coupling, holds the bytes of
+        # _fmt of the float, -0 and a tiny coupling included
+        code, out, _ = run(capsys, "sweep-bloch", "--beta-g=-0,1e-300,1.5", "--steps=7")
+        assert code == 0
+        expected = [
+            ",".join(map(_fmt, (beta_g, *point)))
+            for beta_g in (-0.0, 1e-300, 1.5)
+            for point in spinprep.diagnostics.figure_sweep(1.0, beta_g, -5.0, 5.0, 7)
+        ]
+        assert out.splitlines()[1:] == expected
+        assert out.splitlines()[1].startswith("-0,")
+
     def test_writes_only_the_requested_file(self, capsys, tmp_path):
         target = tmp_path / "only.csv"
         before = set(p.name for p in tmp_path.iterdir())

@@ -22,7 +22,7 @@ from spinprep import (
     reduced_from_bloch,
 )
 from spinprep.diagnostics import _fit_line
-from spinprep.model import SZ, ModelParams
+from spinprep.model import SZ, EquilibriumCurvePoint, ModelParams
 
 from conftest import assert_close, bits, random_density
 
@@ -297,37 +297,43 @@ class TestFactorizationResidual:
 
 class TestFigureSweep:
     def test_row_count_and_order(self):
-        rows = figure_sweep(1.0, [0.5, 1.0, 1.5], -5.0, 5.0, 201)
-        assert len(rows) == 603
-        beta_gs = [r.beta_g for r in rows]
-        assert beta_gs == sorted(beta_gs, key=lambda x: beta_gs.index(x))  # grouped
-        assert [r.beta_g for r in rows[:201]] == [0.5] * 201
-        fz = [r.beta_Fz for r in rows[:201]]
+        points = figure_sweep(1.0, 0.5, -5.0, 5.0, 201)
+        assert len(points) == 201
+        fz = [p.Fz for p in points]
         assert fz == sorted(fz)
+        assert fz == np.linspace(-5.0, 5.0, 201).tolist()
+
+    def test_points_are_the_closed_form_bit_for_bit(self):
+        for beta_g in (-0.0, 1e-300, 0.5, 1.5):
+            model = ModelParams(1.0, 1.0, beta_g)
+            points = figure_sweep(1.0, beta_g, -3.0, 4.0, 57)
+            fields = np.linspace(-3.0, 4.0, 57).tolist()
+            expected = [equilibrium_observables(model, f) for f in fields]
+            assert [bits(p) for p in points] == [bits(p) for p in expected]
+            assert all(type(p) is EquilibriumCurvePoint for p in points)
 
     def test_monotone_bloch_curves(self):
-        rows = figure_sweep(1.0, [0.5, 1.0, 1.5], -5.0, 5.0, 201)
         for beta_g in (0.5, 1.0, 1.5):
-            s1z = [r.S1z for r in rows if r.beta_g == beta_g]
+            s1z = [p.S1z for p in figure_sweep(1.0, beta_g, -5.0, 5.0, 201)]
             assert all(b > a for a, b in zip(s1z, s1z[1:]))
 
     def test_uncoupled_s2z_constant(self):
-        rows = figure_sweep(1.0, [0.0], -5.0, 5.0, 51)
-        s2z = np.array([r.S2z for r in rows])
+        points = figure_sweep(1.0, 0.0, -5.0, 5.0, 51)
+        s2z = np.array([p.S2z for p in points])
         assert np.abs(s2z + math.tanh(1.0)).max() < 1e-12
 
     def test_malformed_grids(self):
         with pytest.raises(ValueError):
-            figure_sweep(1.0, [], -5.0, 5.0, 10)
+            figure_sweep(1.0, math.nan, -5.0, 5.0, 10)
         with pytest.raises(ValueError):
-            figure_sweep(1.0, [1.0], -5.0, 5.0, 1)
+            figure_sweep(1.0, 1.0, -5.0, 5.0, 1)
         with pytest.raises(ValueError):
-            figure_sweep(1.0, [1.0], -np.inf, 5.0, 10)
+            figure_sweep(1.0, 1.0, -np.inf, 5.0, 10)
         with pytest.raises(ValueError, match="width"):
             # finite bounds whose width overflows np.linspace
-            figure_sweep(1.0, [1.0], -1e308, 1e308, 10)
+            figure_sweep(1.0, 1.0, -1e308, 1e308, 10)
 
     def test_deterministic(self):
-        a = figure_sweep(1.0, [0.5, 1.5], -3.0, 3.0, 21)
-        b = figure_sweep(1.0, [0.5, 1.5], -3.0, 3.0, 21)
+        a = figure_sweep(1.0, 1.5, -3.0, 3.0, 21)
+        b = figure_sweep(1.0, 1.5, -3.0, 3.0, 21)
         assert a == b

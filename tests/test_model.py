@@ -9,9 +9,9 @@ import scipy.linalg
 from spinprep import (
     DimensionError,
     DomainError,
+    EquilibriumCurvePoint,
     ModelParams,
     analytic_spectrum,
-    aux_F,
     bloch_compose,
     bloch_decompose,
     energies,
@@ -24,7 +24,7 @@ from spinprep import (
     qubit_bloch,
     reduced_from_bloch,
 )
-from spinprep.model import ID2, PAULIS, SZ, reduced_from_bloch_unchecked
+from spinprep.model import ID2, PAULIS, SZ, _equilibrium_kernel, reduced_from_bloch_unchecked
 
 from conftest import assert_close, bits, random_density
 
@@ -206,45 +206,54 @@ class TestAnalyticSpectrum:
             assert_close(parity, [1.0, 1.0, -1.0, -1.0], 1e-12, "sector of each projector")
 
 
-class TestAuxF:
+def f_plus_minus(x, y):
+    # F+(x, y) and F-(x, y) of the closed form's kernel, with the
+    # half-difference d = (x - y)/2 formed directly
+    return _equilibrium_kernel(x, y, 0.5 * (x - y))[:2]
+
+
+class TestEquilibriumKernel:
     def test_antisymmetric_at_equal_arguments(self):
         for x in (0.2, 1.0, 3.7):
-            assert aux_F(-1, x, x) == 0.0
+            assert f_plus_minus(x, x)[1] == 0.0
 
     def test_equal_argument_plus_reduces_to_tanh(self):
-        assert abs(aux_F(+1, 1.0, 1.0) - math.tanh(1.0) / 1.0) < 1e-14
+        assert abs(f_plus_minus(1.0, 1.0)[0] - math.tanh(1.0) / 1.0) < 1e-14
 
     def test_swap_symmetry(self):
         x, y = 0.3, 1.7
-        assert abs(aux_F(+1, x, y) - aux_F(+1, y, x)) < 1e-14
-        assert abs(aux_F(-1, x, y) + aux_F(-1, y, x)) < 1e-14
+        (plus_xy, minus_xy), (plus_yx, minus_yx) = f_plus_minus(x, y), f_plus_minus(y, x)
+        assert abs(plus_xy - plus_yx) < 1e-14
+        assert abs(minus_xy + minus_yx) < 1e-14
 
     def test_small_argument_series_is_smooth(self):
         # series kicks in below 1e-4; both branches must agree with the raw formula
         for x in (0.99e-4, 1.01e-4):
             raw = (math.sinh(x) / x + math.sinh(0.5) / 0.5) / (math.cosh(x) + math.cosh(0.5))
-            assert abs(aux_F(+1, x, 0.5) - raw) < 1e-15
+            assert abs(f_plus_minus(x, 0.5)[0] - raw) < 1e-15
 
     def test_zero_argument_finite(self):
         # limit sinh(x)/x -> 1
         expected = (1.0 + math.sinh(2.0) / 2.0) / (1.0 + math.cosh(2.0))
-        assert abs(aux_F(+1, 0.0, 2.0) - expected) < 1e-14
+        assert abs(f_plus_minus(0.0, 2.0)[0] - expected) < 1e-14
 
     def test_scaled_evaluation_matches_direct(self):
         # at 400 tanh of the half-sum and half-difference both round to 1,
         # but the naive formula is still inside double range and must agree
         x, y = 400.0, 2.0
         direct = (math.sinh(x) / x + math.sinh(y) / y) / (math.cosh(x) + math.cosh(y))
-        assert abs(aux_F(+1, x, y) - direct) < 1e-15
-        huge = aux_F(+1, 2000.0, 3.0)  # would overflow naively
+        assert abs(f_plus_minus(x, y)[0] - direct) < 1e-15
+        huge = f_plus_minus(2000.0, 3.0)[0]  # would overflow naively
         assert 0.0 < huge < 1.0
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            aux_F(0, 1.0, 1.0)
 
 
 class TestEquilibriumObservables:
+    def test_returns_an_equilibrium_curve_point(self):
+        p = equilibrium_observables(ModelParams(1.0, 1.0, 0.5), 0.25)
+        assert type(p) is EquilibriumCurvePoint
+        assert p.Fz == 0.25 and p._fields == ("Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz")
+        assert p == EquilibriumCurvePoint(*p)
+
     def test_zero_field_parity_zeros(self):
         for e, g in ((1.0, 0.5), (0.3, 2.0), (2.0, 0.0)):
             p = equilibrium_observables(ModelParams(1.0, e, g), 0.0)

@@ -554,10 +554,14 @@ class TestMori:
             MoriLinearResponse(MODEL, (SZ + 1j * SX,))
 
     def test_extrapolation_warning_outside_trust_region(self):
+        # the warning points at the first frame outside prepare.py, here
+        # this file, whether reached through blow_up or called directly
         model = ModelParams(1.0, 1.0, 1.0)
         prep = MoriLinearResponse(model, (SZ,))
-        with pytest.warns(ExtrapolationWarning):
-            blow_up(prep, z_state(0.5))
+        for fn in (blow_up, mori_blow_up):
+            with pytest.warns(ExtrapolationWarning) as record:
+                fn(prep, z_state(0.5))
+            assert [w.filename for w in record] == [__file__]
 
     def test_off_manifold_state_rejected(self):
         model = ModelParams(1.0, 1.0, 1.0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinprep as sp
-from spinprep.model import SX, SZ, ModelParams
+from spinprep.model import SX, SZ, ModelParams, _equilibrium_kernel
 
 from conftest import random_density, random_hermitian
 
@@ -55,10 +55,13 @@ def test_spectral_mapping(seed):
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
 )
 def test_aux_function_symmetries(x, y):
-    assert abs(sp.aux_F(+1, x, y) - sp.aux_F(+1, y, x)) < 1e-14
-    assert abs(sp.aux_F(-1, x, y) + sp.aux_F(-1, y, x)) < 1e-14
+    # F+ and F- of the closed form's kernel, with d = (x - y)/2 formed directly
+    plus_xy, minus_xy, _ = _equilibrium_kernel(x, y, 0.5 * (x - y))
+    plus_yx, minus_yx, _ = _equilibrium_kernel(y, x, 0.5 * (y - x))
+    assert abs(plus_xy - plus_yx) < 1e-14
+    assert abs(minus_xy + minus_yx) < 1e-14
     # even in each argument separately
-    assert sp.aux_F(+1, x, y) == sp.aux_F(+1, -x, y)
+    assert plus_xy == _equilibrium_kernel(-x, y, 0.5 * (-x - y))[0]
 
 
 @given(couplings, couplings, fields)
