@@ -9,12 +9,10 @@ initial total state was prepared.
 
 from .diagnostics import (
     ConvexityTestResult,
-    EvennessReport,
     LineFit,
     LinearityReport,
     affinity_defect,
     convexity_test,
-    evenness_witness,
     factorization_residual,
     figure_sweep,
     linearity_scan,
@@ -43,7 +41,6 @@ from .evolve import (
 )
 from .linalg import (
     DensityReport,
-    SpectralData,
     dag,
     herm_eig,
     kron,
@@ -56,7 +53,6 @@ from .model import (
     EquilibriumCurvePoint,
     ModelParams,
     analytic_spectrum,
-    bloch_compose,
     bloch_decompose,
     energies,
     equilibrium_observables,

@@ -51,7 +51,7 @@ from .diagnostics import (
     figure_sweep,
     linearity_scan,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .evolve import chebyshev_targets, fit_affine_map, propagator, reduced_evolution
 from .linalg import partial_trace, require_density
 from .model import (
@@ -176,7 +176,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     and tolerance_scale positive, fz_min below fz_max, the field widths
     fz_max - fz_min and f_max - f_min finite (so that no grid step
     overflows), s1z_max and every mixing weight in lambdas inside (0, 1),
-    fz_list at least two fields long, fz_grid at least five fields with at
+    fz_list at least two fields long and strictly increasing in |Fz| (its
+    residuals must decay along it), fz_grid at least five fields with at
     least two distinct ones (the affine fit's minimum; the Mori preparation
     samples its own states), samples at least 2, f_steps at least 1, points
     at least 3 and steps at least 2, so that no run tests nothing; no
@@ -224,6 +225,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"lambdas must lie strictly between 0 and 1, got {cfg['lambdas']}")
     if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
         raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
+    fz_list = cfg.get("fz_list", [])
+    if not all(abs(a) < abs(b) for a, b in zip(fz_list, fz_list[1:])):
+        raise ValueError(f"fz-list must grow strictly in |Fz| to show a decay, got {cfg['fz_list']}")
     if "fz_grid" in cfg and cfg["prep"] != "mori":
         if len(cfg["fz_grid"]) < 5:
             raise ValueError(f"fz-grid needs at least five fields for the affine fit, got {cfg['fz_grid']}")
@@ -526,7 +530,7 @@ def main(argv=None) -> int:
             rows += coupling_rows
             checks += coupling_checks
         _write_csv(args.out, command.header, rows)
-    except (DomainError, ValidationError, ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         # RuntimeError: a solver that did not converge (invert_field); no result.
         # OSError: --out cannot be written (a missing directory, a directory)
         print(f"spinprep: {err}", file=sys.stderr)

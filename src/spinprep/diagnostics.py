@@ -135,35 +135,6 @@ def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
     return LinearityReport(s1z, curves, fits)
 
 
-@dataclass(frozen=True)
-class EvennessReport:
-    """Parity checks of the equilibrium curves over a symmetric field grid.
-
-    S1z must be odd and Cxx even in the field.  If Cxx[S1z] were affine, the
-    parities would force its slope to vanish and Cxx to be constant; the
-    spread over the grid measures how far it is from constant, and it
-    vanishes iff the two spins are uncoupled.
-    """
-
-    odd_defect_S1z: float
-    even_defect_Cxx: float
-    cxx_spread: float
-    cxx_is_constant: bool
-
-
-def evenness_witness(
-    model: ModelParams, fz_max: float = 5.0, steps: int = 101, atol: float = 1e-10
-) -> EvennessReport:
-    fields = np.linspace(-fz_max, fz_max, steps)
-    points = [equilibrium_observables(model, f) for f in fields]
-    mirror = [equilibrium_observables(model, -f) for f in fields]
-    odd = max(abs(a.S1z + b.S1z) for a, b in zip(points, mirror))
-    even = max(abs(a.Cxx - b.Cxx) for a, b in zip(points, mirror))
-    cxx = np.array([p.Cxx for p in points])
-    spread = float(cxx.max() - cxx.min())
-    return EvennessReport(float(odd), float(even), spread, spread <= atol)
-
-
 def affinity_defect(map_fn, domain_samples, lambdas) -> float:
     """Worst violation of M(lx + (1-l)y) = l M(x) + (1-l) M(y) over the sample.
 

@@ -69,36 +69,18 @@ def reduced_evolution(prep, u: np.ndarray, rho_S) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReducedAffineMap:
-    """Trace-preserving affine map on qubit states: S -> bloch @ S + offset.
-
-    In homogeneous coordinates this is a 4x4 matrix acting on (1, Sx, Sy, Sz)
-    whose first row is (1, 0, 0, 0) by construction, see as_matrix().
-    """
+    """Trace-preserving affine map on qubit states: S -> bloch @ S + offset."""
 
     bloch: np.ndarray
     offset: np.ndarray
 
-    def apply_bloch(self, s: np.ndarray) -> np.ndarray:
-        return self.bloch @ np.asarray(s, dtype=float) + self.offset
-
     def apply(self, rho) -> np.ndarray:
         """Act on a 2x2 state (or any unit-trace Hermitian operator)."""
-        return reduced_from_bloch_unchecked(self.apply_bloch(qubit_bloch(rho)))
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        m[0, 0] = 1.0
-        m[1:, 0] = self.offset
-        m[1:, 1:] = self.bloch
-        return m
+        return reduced_from_bloch_unchecked(self.bloch @ qubit_bloch(rho) + self.offset)
 
     def compose(self, inner: "ReducedAffineMap") -> "ReducedAffineMap":
         """self after inner: x -> self(inner(x))."""
         return ReducedAffineMap(self.bloch @ inner.bloch, self.bloch @ inner.offset + self.offset)
-
-    @staticmethod
-    def identity() -> "ReducedAffineMap":
-        return ReducedAffineMap(np.eye(3), np.zeros(3))
 
 
 def factorizing_propagator(u: np.ndarray, rho_B0) -> ReducedAffineMap:
@@ -147,7 +129,6 @@ class AffineFitReport:
 
     map: ReducedAffineMap
     residual: float
-    sample_size: int
 
 
 def fit_affine_map(samples) -> AffineFitReport:
@@ -178,7 +159,7 @@ def fit_affine_map(samples) -> AffineFitReport:
     theta, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (4, 3)
     fitted = ReducedAffineMap(theta[1:, :].T.copy(), theta[0, :].copy())
     residual = max(float(np.linalg.norm(fitted.apply(a) - b)) for a, b in pairs)
-    return AffineFitReport(fitted, residual, len(pairs))
+    return AffineFitReport(fitted, residual)
 
 
 def chebyshev_targets(n: int, lo: float, hi: float) -> np.ndarray:

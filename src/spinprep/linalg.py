@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -35,11 +35,6 @@ def as_operator(a) -> np.ndarray:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dagger| entrywise; NaN when an entry is not finite."""
-    return _hermiticity(np.asarray(a))[0]
 
 
 def _hermitian_within_tol(defect: float, scale: float) -> bool:
@@ -105,26 +100,16 @@ def partial_trace(rho, keep: int = 0) -> np.ndarray:
     return rho[:2, :2] + rho[2:, 2:]
 
 
-class SpectralData(NamedTuple):
-    """Eigendecomposition of a Hermitian operator.
-
-    eigenvalues are real and ascending; eigenvectors holds the matching
-    orthonormal eigenvectors as columns, so V diag(w) V^dagger reconstructs
-    the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(a) -> SpectralData:
-    """Eigendecomposition of a Hermitian operator via LAPACK (``numpy.linalg.eigh``).
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian operator via ``numpy.linalg.eigh``.
 
     Raises ValidationError if the input is not Hermitian within tolerance (a
     NaN entry fails that check).  The Hermitian part (A + A^dagger)/2 is
-    diagonalized.  Eigenvalues come back ascending; each eigenvector's
-    largest-magnitude component, the first one on ties, is made real and
-    positive so repeated runs are bit-identical.
+    diagonalized.  The eigenvalues w are real and ascending; v holds the
+    matching orthonormal eigenvectors as columns, so V diag(w) V^dagger
+    reconstructs the Hermitian part.  Each eigenvector's largest-magnitude
+    component, the first one on ties, is made real and positive so repeated
+    runs are bit-identical.
     """
     a = as_operator(a)
     defect, hermitian = _hermiticity(a)
@@ -137,7 +122,7 @@ def herm_eig(a) -> SpectralData:
     w, v = np.linalg.eigh(0.5 * a + 0.5 * dag(a))
     # Columns are unit vectors, so the largest component is never zero.
     z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return SpectralData(w, v * (np.conj(z) / np.abs(z)))
+    return w, v * (np.conj(z) / np.abs(z))
 
 
 def matrix_function(a, f: Callable) -> np.ndarray:

@@ -237,16 +237,6 @@ def bloch_decompose(rho) -> BlochDecomposition:
     return BlochDecomposition(s1, s2, c)
 
 
-def bloch_compose(b: BlochDecomposition) -> np.ndarray:
-    """Rebuild the 4x4 operator from a Bloch decomposition (exact identity)."""
-    rho = ID4.copy()
-    for i in range(3):
-        rho = rho + b.s1[i] * SIGMA1[i] + b.s2[i] * SIGMA2[i]
-        for j in range(3):
-            rho = rho + b.c[i, j] * CORR[i][j]
-    return 0.25 * rho
-
-
 def qubit_bloch(rho) -> np.ndarray:
     """Bloch vector (Re tr(rho sigma_i)) of a 2x2 operator, read off its entries.
 

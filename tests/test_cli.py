@@ -246,12 +246,14 @@ class TestMoriCheckAndPechukas:
         assert 2.8 <= ratio <= 5.2
 
     def test_pechukas(self, capsys):
-        code, out, err = run(capsys, "pechukas")
-        assert code == 0
-        assert summary_value(err, "residual_decay_bg_1") == "pass"
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        residuals = [float(r[2]) for r in rows]
-        assert residuals == sorted(residuals, reverse=True)
+        # the residuals decay in |Fz|, whatever the signs of the fields
+        for fz_list in ("4,6,8", "-4,-6,-8"):
+            code, out, err = run(capsys, "pechukas", f"--fz-list={fz_list}")
+            assert code == 0
+            assert summary_value(err, "residual_decay_bg_1") == "pass"
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            residuals = [float(r[2]) for r in rows]
+            assert residuals == sorted(residuals, reverse=True)
 
     @pytest.mark.parametrize(
         "subcommand,check",
@@ -571,6 +573,9 @@ class TestConfigHandling:
             ("evolve", "--time=nan"),
             ("evolve", "--time", "inf"),
             ("pechukas", "--fz-list=4,inf"),
+            ("pechukas", "--fz-list=8,6,4"),
+            ("pechukas", "--fz-list=-8,-6,-4"),
+            ("pechukas", "--fz-list=4,4,8"),
             ("affinity", "--samples", "1"),
             ("convexity", "--lambdas="),
             ("convexity", "--f-steps", "0"),
@@ -610,6 +615,9 @@ class TestConfigHandling:
             "time-nan",
             "time-inf",
             "fz-list-inf",
+            "fz-list-decreasing",
+            "fz-list-decreasing-in-magnitude",
+            "fz-list-repeated-field",
             "samples-one",
             "lambdas-empty",
             "f-steps-zero",

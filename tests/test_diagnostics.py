@@ -13,7 +13,6 @@ from spinprep import (
     convexity_test,
     equilibrium_observables,
     equilibrium_state,
-    evenness_witness,
     factorization_residual,
     figure_sweep,
     invert_field,
@@ -24,7 +23,7 @@ from spinprep import (
 from spinprep.diagnostics import _fit_line
 from spinprep.model import SZ, EquilibriumCurvePoint, ModelParams
 
-from conftest import assert_close, bits, random_density
+from conftest import bits, random_density
 
 MODEL15 = ModelParams(1.0, 1.0, 1.5)
 MODEL0 = ModelParams(1.0, 1.0, 0.0)
@@ -187,24 +186,6 @@ class TestFitLine:
         assert fit.max_residual <= 1e-214
 
 
-class TestEvennessWitness:
-    def test_uncoupled_cxx_constant(self):
-        report = evenness_witness(MODEL0)
-        assert report.cxx_is_constant
-        assert report.cxx_spread < 1e-14
-
-    def test_coupled_cxx_varies(self):
-        report = evenness_witness(MODEL15)
-        assert not report.cxx_is_constant
-        assert report.cxx_spread > 0.01
-
-    def test_parity_defects_small_for_all_couplings(self):
-        for beta_g in (0.0, 0.5, 1.0, 1.5):
-            report = evenness_witness(ModelParams(1.0, 1.0, beta_g))
-            assert report.odd_defect_S1z < 1e-12
-            assert report.even_defect_Cxx < 1e-12
-
-
 class TestAffinityDefect:
     def test_exact_affine_map(self, rng):
         lin = rng.standard_normal((4, 4)) * 0.2
@@ -321,6 +302,11 @@ class TestFigureSweep:
         points = figure_sweep(1.0, 0.0, -5.0, 5.0, 51)
         s2z = np.array([p.S2z for p in points])
         assert np.abs(s2z + math.tanh(1.0)).max() < 1e-12
+        # Cxx is even in the field: uncoupled it is 0, coupled it varies, so
+        # no affine Cxx[S1z] exists (S1z is odd)
+        assert max(abs(p.Cxx) for p in points) < 1e-14
+        cxx = [p.Cxx for p in figure_sweep(1.0, 1.5, -5.0, 5.0, 101)]
+        assert max(cxx) - min(cxx) > 0.01
 
     def test_malformed_grids(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from spinprep import (
     EquilibriumCurvePoint,
     ModelParams,
     analytic_spectrum,
-    bloch_compose,
     bloch_decompose,
     energies,
     equilibrium_observables,
@@ -403,19 +402,21 @@ class TestBloch:
         assert np.abs(b.c).max() == 0.0
 
     def test_polarized_product(self):
-        from spinprep.model import BlochDecomposition
-
-        b = BlochDecomposition(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros((3, 3)))
-        rho = bloch_compose(b)
         up = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert_close(rho, kron(up, ID2 / 2), 1e-15, "polarized product state")
+        b = bloch_decompose(kron(up, ID2 / 2))
+        assert np.array_equal(b.s1, [0.0, 0.0, 1.0])
+        assert np.abs(b.s2).max() == 0.0
+        assert np.abs(b.c).max() == 0.0
 
-    def test_round_trip_random_densities(self, rng):
+    def test_parseval_random_densities(self, rng):
+        # the Pauli products are orthogonal, so
+        # tr rho^2 = (1 + |s1|^2 + |s2|^2 + ||c||_F^2) / 4
         worst = 0.0
         for _ in range(100):
             rho = random_density(rng, 4)
-            rebuilt = bloch_compose(bloch_decompose(rho))
-            worst = max(worst, float(np.abs(rebuilt - rho).max()))
+            b = bloch_decompose(rho)
+            norms = 1.0 + b.s1 @ b.s1 + b.s2 @ b.s2 + np.sum(b.c**2)
+            worst = max(worst, abs(np.trace(rho @ rho).real - 0.25 * norms))
         assert worst < 1e-13
 
     def test_wrong_dimension(self):

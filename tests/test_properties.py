@@ -15,10 +15,12 @@ fields = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
 
 @given(seeds)
-def test_bloch_round_trip(seed):
+def test_bloch_parseval(seed):
+    # tr rho^2 = (1 + |s1|^2 + |s2|^2 + ||c||_F^2) / 4: the Pauli products are orthogonal
     rho = random_density(np.random.default_rng(seed), 4)
-    rebuilt = sp.bloch_compose(sp.bloch_decompose(rho))
-    assert np.abs(rebuilt - rho).max() < 1e-13
+    b = sp.bloch_decompose(rho)
+    norms = 1.0 + b.s1 @ b.s1 + b.s2 @ b.s2 + np.sum(b.c**2)
+    assert abs(np.trace(rho @ rho).real - 0.25 * norms) < 1e-13
 
 
 @given(seeds)
