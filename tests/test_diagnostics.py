@@ -302,11 +302,25 @@ class TestFigureSweep:
         points = figure_sweep(1.0, 0.0, -5.0, 5.0, 51)
         s2z = np.array([p.S2z for p in points])
         assert np.abs(s2z + math.tanh(1.0)).max() < 1e-12
-        # Cxx is even in the field: uncoupled it is 0, coupled it varies, so
-        # no affine Cxx[S1z] exists (S1z is odd)
-        assert max(abs(p.Cxx) for p in points) < 1e-14
+
+    # S1z is odd and Cxx even in the field, so an affine Cxx[S1z] would have
+    # to be constant: it is uncoupled and is not coupled
+    def test_uncoupled_cxx_constant(self):
+        cxx = [p.Cxx for p in figure_sweep(1.0, 0.0, -5.0, 5.0, 101)]
+        assert max(abs(c) for c in cxx) < 1e-14
+        assert max(cxx) - min(cxx) < 1e-14
+
+    def test_coupled_cxx_varies(self):
         cxx = [p.Cxx for p in figure_sweep(1.0, 1.5, -5.0, 5.0, 101)]
         assert max(cxx) - min(cxx) > 0.01
+
+    def test_parity_defects_small_for_all_couplings(self):
+        for beta_g in (0.0, 0.5, 1.0, 1.5):
+            model = ModelParams(1.0, 1.0, beta_g)
+            for p in figure_sweep(1.0, beta_g, -5.0, 5.0, 101):
+                mirror = equilibrium_observables(model, -p.Fz)
+                assert abs(p.S1z + mirror.S1z) < 1e-12
+                assert abs(p.Cxx - mirror.Cxx) < 1e-12
 
     def test_malformed_grids(self):
         with pytest.raises(ValueError):
