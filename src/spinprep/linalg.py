@@ -9,10 +9,8 @@ All functions are pure: inputs are never mutated.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,8 +134,7 @@ def matrix_function(a, f: Callable) -> np.ndarray:
     return (v * np.asarray(f(w), dtype=complex)) @ dag(v)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Outcome of validate_density; report-style, never raises."""
 
     hermiticity_defect: float
@@ -152,51 +149,82 @@ def validate_density(rho) -> DensityReport:
     Pass thresholds: Hermiticity defect <= 1e-12 * (1 + max|rho|), trace
     within 1e-10 of one, smallest eigenvalue >= -1e-10.  The eigenvalue is
     computed from the Hermitian part, so a report is produced even for badly
-    non-Hermitian input; a non-finite entry gives min_eigenvalue nan (not
-    ok).  A qubit (2x2) state is checked in closed form, in Python floats and
-    with no eigensolver: its Hermitian part has diagonal p, q and
-    off-diagonal h, so its smallest eigenvalue is
-    (p + q)/2 - hypot((p - q)/2, |h|).  Larger inputs go through LAPACK
-    ``eigvalsh``.
+    non-Hermitian input.  A complex 2x2 array is read as is (the checkers
+    that call this have coerced it already); any other input goes through
+    as_operator first.
+
+    A qubit (2x2) state is checked in closed form, as straight-line float
+    arithmetic on the eight real parts of its entries, with no eigensolver:
+    its Hermitian part has diagonal p, q and off-diagonal h, so its smallest
+    eigenvalue is (p + q)/2 - hypot((p - q)/2, |h|).  Each report field is
+    the entrywise IEEE arithmetic of the complex formulas, bit for bit, so a
+    non-finite entry reads as that arithmetic reads it: an inf*j diagonal
+    entry gives a Hermiticity defect of inf (|inf*j - conj(inf*j)|), a real
+    +-inf diagonal entry gives NaN (inf - inf), and any non-finite entry
+    gives min_eigenvalue NaN (not ok).
+
+    Larger inputs go through LAPACK ``eigvalsh``; there any non-finite entry
+    reads NaN in all three fields (not ok).
+    """
+    if not (type(rho) is np.ndarray and rho.shape == (2, 2) and rho.dtype == complex):
+        rho = as_operator(rho)
+        if rho.shape != (2, 2):
+            return _eigvalsh_report(rho)
+    (a, b), (c, d) = rho.tolist()
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    # every modulus |z| is hypot(z.real, z.imag): abs(complex) raises
+    # OverflowError where hypot returns inf
+    hypot = math.hypot
+    # x - x is +0.0 for a finite x and NaN otherwise
+    za, zd = ar - ar, dr - dr
+    # the entrywise max |rho - rho^dagger|, z - conj(w) being
+    # (z.real - w.real, z.imag + w.imag); (1, 0) mirrors (0, 1).  NaN when any
+    # gap is NaN, as numpy's max on the larger path
+    gap_a, gap_b, gap_d = hypot(za, ai + ai), hypot(br - cr, bi + ci), hypot(zd, di + di)
+    h_defect = math.nan if math.isnan(gap_a + gap_b + gap_d) else max(gap_a, gap_b, gap_d)
+    scale = max(hypot(ar, ai), hypot(br, bi), hypot(cr, ci), hypot(dr, di))
+    t_defect = hypot(ar + dr - 1.0, ai + di)
+    # p = ar, q = dr and h = (b + conj(c))/2 = 0.5 * (hr, hi) as the complex
+    # product of 0.5 + 0j and (hr, hi): each part carries 0.0 times the
+    # other, so an h with both parts overflowed reads NaN
+    hr, hi = br + cr, bi - ci
+    h = hypot(0.5 * hr - 0.0 * hi, 0.5 * hi + 0.0 * hr)
+    # subtracting the +0.0 of a finite input leaves the eigenvalue as it is,
+    # signed zero included, and a NaN from any non-finite part makes it NaN
+    nonfinite = za + zd + (ai - ai) + (di - di) + (br - br) + (bi - bi) + (cr - cr) + (ci - ci)
+    min_eig = 0.5 * (ar + dr) - hypot(0.5 * (ar - dr), h) - nonfinite
+    ok = (
+        _hermitian_within_tol(h_defect, scale)
+        and t_defect <= DENSITY_TRACE_ATOL
+        and min_eig >= DENSITY_EIG_FLOOR
+    )
+    # _make takes the one tuple as is, past the keyword handling of __new__
+    return DensityReport._make((h_defect, t_defect, min_eig, ok))
+
+
+def _eigvalsh_report(rho: np.ndarray) -> DensityReport:
+    """validate_density of an operator larger than 2x2, through LAPACK."""
+    h_defect, hermitian = _hermiticity(rho)
+    if math.isnan(h_defect):
+        # a non-finite entry: LAPACK rejects it, and the report comes back not ok
+        return DensityReport._make((h_defect, math.nan, math.nan, False))
+    t_defect = abs(complex(np.trace(rho)) - 1.0)
+    # halved before the sum, which cannot overflow for finite entries
+    min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
+    ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
+    return DensityReport._make((h_defect, t_defect, min_eig, ok))
+
+
+def require_density(rho, what: str = "operator", *, shape: tuple | None = None) -> np.ndarray:
+    """Validate and return rho, raising ValidationError with the failed condition.
+
+    rho is coerced here, and a qubit state goes on to validate_density as is.
+    When shape is given, a rho of another shape raises DimensionError before
+    any density check.
     """
     rho = as_operator(rho)
-    if rho.shape == (2, 2):
-        (a, b), (c, d) = rho.tolist()
-        # every modulus |z| is hypot(z.real, z.imag), written out: abs(complex)
-        # raises OverflowError where hypot returns inf
-        hypot = math.hypot
-        ga, gb, gd = a - a.conjugate(), b - c.conjugate(), d - d.conjugate()
-        # the entrywise max |rho - rho^dagger| ((1, 0) mirrors (0, 1)), NaN
-        # when any gap is NaN, as numpy's max on the larger path
-        gaps = (hypot(ga.real, ga.imag), hypot(gb.real, gb.imag), hypot(gd.real, gd.imag))
-        h_defect = math.nan if math.isnan(sum(gaps)) else max(gaps)
-        scale = max(hypot(a.real, a.imag), hypot(b.real, b.imag))
-        scale = max(scale, hypot(c.real, c.imag), hypot(d.real, d.imag))
-        hermitian = _hermitian_within_tol(h_defect, scale)
-        trace = a + d
-        t_defect = hypot(trace.real - 1.0, trace.imag)
-        if all(map(cmath.isfinite, (a, b, c, d))):
-            p, q = a.real, d.real
-            h = 0.5 * (b + c.conjugate())
-            min_eig = 0.5 * (p + q) - hypot(0.5 * (p - q), hypot(h.real, h.imag))
-        else:
-            min_eig = math.nan
-    else:
-        h_defect, hermitian = _hermiticity(rho)
-        if math.isnan(h_defect):
-            # a non-finite entry: LAPACK rejects it, and the report comes back not ok
-            t_defect = min_eig = math.nan
-        else:
-            t_defect = abs(complex(np.trace(rho)) - 1.0)
-            # halved before the sum, which cannot overflow for finite entries
-            min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
-    ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
-    return DensityReport(h_defect, t_defect, min_eig, ok)
-
-
-def require_density(rho, what: str = "operator") -> np.ndarray:
-    """Validate and return rho, raising ValidationError with the failed condition."""
-    rho = as_operator(rho)
+    if shape is not None and rho.shape != shape:
+        raise DimensionError(f"{what} must be {'x'.join(map(str, shape))}, got {rho.shape}")
     report = validate_density(rho)
     if not report.ok:
         raise ValidationError(

@@ -70,13 +70,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_qubit_density(rho, what: str) -> np.ndarray:
-    rho = as_operator(rho)
-    if rho.shape != (2, 2):
-        raise DimensionError(f"{what} must be 2x2, got {rho.shape}")
-    return require_density(rho, what)
-
-
 @dataclass(frozen=True, eq=False)
 class Equilibrium:
     """Canonical preparation: vary the field on the system spin at fixed beta."""
@@ -94,7 +87,7 @@ class Factorizing:
     rho_B: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_density(self.rho_B, "rho_B")
+        require_density(self.rho_B, "rho_B", shape=(2, 2))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return kron(rho_S, self.rho_B)
@@ -149,7 +142,7 @@ class FactorizeAndWait:
     def __post_init__(self):
         if not self.t0 > 0.0:
             raise ValueError(f"waiting time t0 must be positive, got {self.t0}")
-        _check_qubit_density(self.rho_B0, "rho_B0")
+        require_density(self.rho_B0, "rho_B0", shape=(2, 2))
         u_wait = _frozen(propagator(hamiltonian(self.model, self.Fz_wait), self.t0))
         g_map = factorizing_propagator(u_wait, self.rho_B0)
         object.__setattr__(self, "u_wait", u_wait)
@@ -259,14 +252,14 @@ def _equilibrium_matrix(p: EquilibriumCurvePoint) -> np.ndarray:
     # 0.0 + Cxx: the operator sum adds Cxx to a zero entry, which turns -0 into +0
     even, odd = 0.25 * (0.0 + p.Cxx - p.Cyy), 0.25 * (0.0 + p.Cxx + p.Cyy)
     return np.array(
-        [
-            [0.25 * (up + p.S2z + p.Czz), 0.0, 0.0, even],
-            [0.0, 0.25 * (up - p.S2z - p.Czz), odd, 0.0],
-            [0.0, odd, 0.25 * (down + p.S2z - p.Czz), 0.0],
-            [even, 0.0, 0.0, 0.25 * (down - p.S2z + p.Czz)],
-        ],
+        (
+            0.25 * (up + p.S2z + p.Czz), 0.0, 0.0, even,
+            0.0, 0.25 * (up - p.S2z - p.Czz), odd, 0.0,
+            0.0, odd, 0.25 * (down + p.S2z - p.Czz), 0.0,
+            even, 0.0, 0.0, 0.25 * (down - p.S2z + p.Czz),
+        ),
         dtype=complex,
-    )
+    ).reshape(4, 4)
 
 
 def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumCurvePoint:
@@ -420,7 +413,7 @@ def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     Bloch vectors as bloch_rows[j] . (s - s0); chi_inv, bloch_rows and s0 are
     the ones prep computed at construction.
     """
-    rho_S = _check_qubit_density(rho_S, "reduced state")
+    rho_S = require_density(rho_S, "reduced state", shape=(2, 2))
     return prep.chi_inv @ (prep.bloch_rows @ (qubit_bloch(rho_S) - prep.s0))
 
 
@@ -448,7 +441,8 @@ def mori_blow_up(prep: MoriLinearResponse, rho_S) -> np.ndarray:
     state = prep.rho0  # never returned as is: there is at least one observable
     for k, f in zip(prep.kubo, fields):
         state = state + f * k
-    beta_field = prep.model.beta * float(np.abs(fields).max())
+    # in Python floats; the fields are finite, since mori_fields checked rho_S
+    beta_field = prep.model.beta * max(map(abs, fields.tolist()))
     if beta_field > MORI_BETA_F_MAX:
         warnings.warn(
             f"inferred fields reach |beta F| = {beta_field:.3f}, beyond the "
@@ -471,7 +465,7 @@ def blow_up(prep: Preparation, rho_S) -> np.ndarray:
     a density matrix by construction for every preparation but Mori, whose
     affine rho0 + sum_i F_i K_i can have negative eigenvalues.
     """
-    rho_S = _check_qubit_density(rho_S, "reduced state")
+    rho_S = require_density(rho_S, "reduced state", shape=(2, 2))
     state = prep._total_state(rho_S)
     diff = partial_trace(state, keep=0) - rho_S
     gap = math.sqrt(np.vdot(diff, diff).real)  # Frobenius norm; nan stays nan

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spinprep
 from spinprep import (
     DimensionError,
     ValidationError,
@@ -15,7 +17,7 @@ from spinprep import (
     partial_trace,
     validate_density,
 )
-from spinprep.linalg import is_hermitian
+from spinprep.linalg import is_hermitian, require_density
 from spinprep.model import ID2, SX, ModelParams, hamiltonian
 from spinprep.prepare import equilibrium_state
 
@@ -340,6 +342,85 @@ class TestValidateDensity:
                 and min_eig >= -1e-10
             )
             assert report.ok == ok, name
+
+    @staticmethod
+    def _complex_closed_form(rho):
+        # the qubit closed form in complex arithmetic, as validate_density
+        # computed it before the straight-line float form: (defects, min
+        # eigenvalue, ok); the float form must give the same bits
+        (a, b), (c, d) = np.asarray(rho, dtype=complex).tolist()
+        hypot = math.hypot
+        ga, gb, gd = a - a.conjugate(), b - c.conjugate(), d - d.conjugate()
+        gaps = (hypot(ga.real, ga.imag), hypot(gb.real, gb.imag), hypot(gd.real, gd.imag))
+        h_defect = math.nan if math.isnan(sum(gaps)) else max(gaps)
+        scale = max(hypot(a.real, a.imag), hypot(b.real, b.imag))
+        scale = max(scale, hypot(c.real, c.imag), hypot(d.real, d.imag))
+        trace = a + d
+        t_defect = hypot(trace.real - 1.0, trace.imag)
+        if all(map(cmath.isfinite, (a, b, c, d))):
+            p, q = a.real, d.real
+            # complex(0.5) * z is what 0.5 * z computes up to Python 3.13: a
+            # complex product, in which 0.0 * inf makes an overflowed h NaN
+            h = complex(0.5) * (b + c.conjugate())
+            min_eig = 0.5 * (p + q) - hypot(0.5 * (p - q), hypot(h.real, h.imag))
+        else:
+            min_eig = math.nan
+        ok = h_defect <= 1e-12 * (1.0 + scale) and t_defect <= 1e-10 and min_eig >= -1e-10
+        return (h_defect, t_defect, min_eig), ok
+
+    @classmethod
+    def _bit_identity_cases(cls, rng):
+        cases = dict(cls._qubit_cases(rng))
+        # every non-finite entry in each of the four positions
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf)):
+            for index in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                rho = np.eye(2, dtype=complex) / 2
+                rho[index] = value
+                cases[f"{value}-at-{index}"] = rho
+        # finite entries near the largest double whose gaps, trace or
+        # eigenvalue terms overflow
+        big = 1e308
+        cases["overflowing-offdiagonal-gap"] = np.array([[0.5, big + big * 1j], [-big - big * 1j, 0.5]])
+        cases["overflowing-imaginary-diagonal"] = np.array([[0.5 + big * 1j, 0.0], [0.0, 0.5 - big * 1j]])
+        cases["overflowing-trace"] = np.array([[big, 0.0], [0.0, big]], dtype=complex)
+        cases["overflowing-diagonal-difference"] = np.array([[big, big], [big, -big]], dtype=complex)
+        cases["overflowing-hermitian-part"] = np.array([[0.5, big - big * 1j], [big + big * 1j, 0.5]])
+        # signed zeros in every part
+        for k in range(16):
+            signs = [-1.0 if k >> bit & 1 else 1.0 for bit in range(4)]
+            zeros = [complex(math.copysign(0.0, s), math.copysign(0.0, -s)) for s in signs]
+            cases[f"signed-zeros-{k}"] = np.array(zeros, dtype=complex).reshape(2, 2)
+        cases["negative-zero-state"] = np.array([[1.0, -0.0], [-0.0, -0.0]], dtype=complex)
+        return cases
+
+    def test_qubit_report_is_bit_identical_to_the_complex_closed_form(self, rng):
+        for name, rho in self._bit_identity_cases(rng).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = validate_density(rho)
+            fields, ok = self._complex_closed_form(rho)
+            got = (report.hermiticity_defect, report.trace_defect, report.min_eigenvalue)
+            for field, value, expected in zip(("defect", "trace", "eigenvalue"), got, fields):
+                assert np.array_equal(value, expected, equal_nan=True), (name, field)
+                # equal as floats and in the sign bit: -0.0 stays -0.0
+                assert math.isnan(expected) or np.signbit(value) == np.signbit(expected), (name, field)
+            assert report.ok is ok, name
+
+    def test_report_is_an_immutable_record(self):
+        for rho in (np.eye(2) / 2, np.eye(4) / 4):
+            report = validate_density(rho)
+            assert type(report) is spinprep.DensityReport
+            assert report._fields == ("hermiticity_defect", "trace_defect", "min_eigenvalue", "ok")
+            with pytest.raises(AttributeError):
+                report.ok = False
+
+    def test_require_density_checks_the_shape_first(self):
+        # a wrong shape is a DimensionError even when the density check would fail too
+        with pytest.raises(DimensionError, match="state must be 2x2, got \\(4, 4\\)"):
+            require_density(np.eye(4), "state", shape=(2, 2))
+        rho = [[0.5, 0.0], [0.0, 0.5]]
+        checked = require_density(rho, shape=(2, 2))
+        assert checked.dtype == complex and np.array_equal(checked, rho)
 
     def test_qubit_min_eigenvalue_matches_a_50_digit_reference(self, rng):
         # (p + q)/2 - sqrt(((p - q)/2)^2 + |h|^2) on the exact binary inputs
