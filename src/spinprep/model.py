@@ -252,7 +252,9 @@ def qubit_bloch(rho) -> np.ndarray:
 
 def reduced_from_bloch_unchecked(s) -> np.ndarray:
     """(1 + S.sigma)/2 without the |S| <= 1 check (affine maps may leave the ball)."""
-    x, y, z = s
+    # Python floats: the same IEEE operations as on numpy scalars, at a
+    # fraction of their cost
+    x, y, z = np.asarray(s).tolist()
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
