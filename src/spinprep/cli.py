@@ -15,14 +15,21 @@ Shared flags: --beta-e, --beta-g (comma list), --out PATH (default stdout),
 
 Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
-the checks of a, then those of b.  The witnesses of the equilibrium
-preparation are gated when uncoupled, where they vanish, and recorded when
-coupled; every other preparation is gated at every coupling.  Uncoupled,
-the mori-check and pechukas residuals are roundoff, so there they are gated
-themselves (below 1e-12) in place of their quadratic order and their decay.
-Coupled, the same holds where they are roundoff: mori-check's residual at
-beta_F = 0.01 below 1e-13 (an exactly zero one leaves the order undefined,
-an input error), or every pechukas residual below 1e-12 times the scale.
+the checks of a, then those of b.  Each coupling's rows become CSV text
+before the next coupling runs; the CSV is written only once every coupling
+has succeeded, so a run that fails at a later coupling writes none.
+sweep-bloch gates each S1z curve as rising with the field, up to roundoff:
+a drop of S1z between adjacent grid points down to 2e-15 (twice the 1e-15
+error of one S1z) passes, where the curve is flatter than that (tanh
+saturating, or a field step below an ulp), and any larger drop fails.  The
+witnesses of the equilibrium preparation are gated when uncoupled, where
+they vanish, and recorded when coupled; every other preparation is gated at
+every coupling.  Uncoupled, the mori-check and pechukas residuals are
+roundoff, so there they are gated themselves (below 1e-12) in place of
+their quadratic order and their decay.  Coupled, the same holds where they
+are roundoff: mori-check's residual at beta_F = 0.01 below 1e-13 (an
+exactly zero one leaves the order undefined, an input error), or every
+pechukas residual below 1e-12 times the scale.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
 configuration error (an unknown --prep among them), an --out that cannot be
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -109,6 +117,15 @@ _MORI_ROUNDOFF_FLOOR = 1e-13
 # they are gated themselves instead, below 1e-12 times the tolerance scale.
 # The floor is not scaled: the scale loosens a gate, it does not pick one.
 _PECHUKAS_ROUNDOFF_FLOOR = 1e-12
+
+
+# S1z rises strictly with the field.  Each computed S1z is within 1e-15 of
+# its exact value (at most 2 eps in a 60-digit comparison over beta*e,
+# beta*g and Fz up to 1e5 in size), so the rise between two grid points is
+# within 2e-15 of the exact one: a drop down to this is roundoff, as where
+# tanh saturates or the field step is below an ulp.  Like the roundoff
+# floors, it is not scaled: the scale loosens a gate, it does not pick one.
+_S1Z_RISE_ROUNDOFF = 2e-15
 
 
 def _parse_preparation(text: str) -> str:
@@ -241,21 +258,29 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_csv(path: str | None, header: tuple[str, ...], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    if rows:
-        # one row template, the same bytes as _fmt per cell: every row of a
-        # subcommand has the cell types of its first.  A cell that is already
-        # text (a --prep name, or sweep-bloch's coupling, which it formats
-        # with _fmt once per coupling) is written as is with %s
-        template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
-        lines.extend(template % row for row in rows)
-    text = "\n".join(lines) + "\n"
+def _csv_rows(rows: list[tuple]) -> str:
+    """The CSV lines of one coupling's rows, each ending in a newline.
+
+    One row template, the same bytes as _fmt per cell: every row of a
+    subcommand has the cell types of its first.  A cell that is already text
+    (a --prep name, or sweep-bloch's coupling, which it formats with _fmt
+    once per coupling) is written as is with %s.  The template is repeated
+    once per row and filled from the flattened cells in one call.
+    """
+    if not rows:
+        return ""
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+    return (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+def _write_csv(path: str | None, header: tuple[str, ...], chunks: list[str]) -> None:
+    """Write the header line, then each coupling's chunk of _csv_rows in order."""
+    lines = [",".join(header) + "\n", *chunks]
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _model(beta_e: float, beta_g: float) -> ModelParams:
@@ -289,9 +314,9 @@ def _into_range(cfg: dict, prep, states: list) -> list:
 
 def _run_sweep_bloch(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     points = figure_sweep(cfg["beta_e"], beta_g, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
-    rises = np.diff([p.S1z for p in points])
+    worst = float(np.diff([p.S1z for p in points]).min())
     coupling = _fmt(beta_g)  # the same cell in every row, formatted once
-    check = Check(f"s1z_monotone_bg_{coupling}", bool(np.all(rises > 0.0)), float(rises.min()))
+    check = Check(f"s1z_monotone_bg_{coupling}", worst >= -_S1Z_RISE_ROUNDOFF, worst)
     return [(coupling, *p) for p in points], [check]
 
 
@@ -521,15 +546,19 @@ def main(argv=None) -> int:
         print(f"spinprep: configuration error: {err}", file=sys.stderr)
         return 2
     command = _SUBCOMMANDS[args.subcommand]
-    rows: list[tuple] = []
+    chunks: list[str] = []
+    n_rows = 0
     checks: list[Check] = []
     try:
-        # the one loop over couplings: each runs on its own, in the given order
+        # the one loop over couplings: each runs on its own, in the given
+        # order, and its rows become CSV text before the next one runs
         for beta_g in cfg["beta_g"]:
-            coupling_rows, coupling_checks = command.run(cfg, beta_g)
-            rows += coupling_rows
+            rows, coupling_checks = command.run(cfg, beta_g)
+            chunks.append(_csv_rows(rows))
+            n_rows += len(rows)
             checks += coupling_checks
-        _write_csv(args.out, command.header, rows)
+            del rows  # not held while the next coupling runs
+        _write_csv(args.out, command.header, chunks)
     except (ValueError, RuntimeError, OSError) as err:
         # RuntimeError: a solver that did not converge (invert_field); no result.
         # OSError: --out cannot be written (a missing directory, a directory)
@@ -537,7 +566,7 @@ def main(argv=None) -> int:
         return 2
 
     status = "pass" if all(c.passed for c in checks) else "fail"
-    parts = [f"subcommand={args.subcommand}", f"status={status}", f"rows={len(rows)}"]
+    parts = [f"subcommand={args.subcommand}", f"status={status}", f"rows={n_rows}"]
     for c in checks:
         parts.append(f"{c.name}={'pass' if c.passed else 'fail'}")
         parts.append(f"{c.name}_value={_fmt(c.value)}")

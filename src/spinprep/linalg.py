@@ -10,6 +10,7 @@ All functions are pure: inputs are never mutated.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +25,11 @@ DENSITY_EIG_FLOOR = -1e-10
 
 def as_operator(a) -> np.ndarray:
     """Coerce to a square complex matrix (copy left to numpy's discretion)."""
-    a = np.asarray(a, dtype=complex)
+    return _square(np.asarray(a, dtype=complex))
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """a itself, or DimensionError if it is not a square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -33,6 +38,12 @@ def as_operator(a) -> np.ndarray:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
+
+
+# Below this max|a|, every entry of A - A^dagger has parts of at most 2 max|a|
+# and a modulus of at most 2 sqrt(2) max|a|, short of the largest double: the
+# difference and its moduli cannot overflow, and no errstate is needed.
+_GAP_SAFE_SCALE = 0.25 * sys.float_info.max
 
 
 def _hermitian_within_tol(defect: float, scale: float) -> bool:
@@ -53,8 +64,11 @@ def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
     scale = float(np.abs(a).max())
     if not math.isfinite(scale):
         return math.nan, False
-    with np.errstate(over="ignore"):
+    if scale < _GAP_SAFE_SCALE:
         defect = float(np.abs(a - dag(a)).max())
+    else:
+        with np.errstate(over="ignore"):
+            defect = float(np.abs(a - dag(a)).max())
     return defect, _hermitian_within_tol(defect, scale)
 
 
@@ -149,9 +163,9 @@ def validate_density(rho) -> DensityReport:
     Pass thresholds: Hermiticity defect <= 1e-12 * (1 + max|rho|), trace
     within 1e-10 of one, smallest eigenvalue >= -1e-10.  The eigenvalue is
     computed from the Hermitian part, so a report is produced even for badly
-    non-Hermitian input.  A complex 2x2 array is read as is (the checkers
-    that call this have coerced it already); any other input goes through
-    as_operator first.
+    non-Hermitian input.  A complex ndarray is read as is (the checkers that
+    call this have coerced it already), so that it is coerced once; any
+    other input goes through as_operator first.
 
     A qubit (2x2) state is checked in closed form, as straight-line float
     arithmetic on the eight real parts of its entries, with no eigensolver:
@@ -166,10 +180,10 @@ def validate_density(rho) -> DensityReport:
     Larger inputs go through LAPACK ``eigvalsh``; there any non-finite entry
     reads NaN in all three fields (not ok).
     """
-    if not (type(rho) is np.ndarray and rho.shape == (2, 2) and rho.dtype == complex):
+    if not (type(rho) is np.ndarray and rho.dtype == complex):
         rho = as_operator(rho)
-        if rho.shape != (2, 2):
-            return _eigvalsh_report(rho)
+    if rho.shape != (2, 2):
+        return _eigvalsh_report(_square(rho))
     (a, b), (c, d) = rho.tolist()
     ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     # every modulus |z| is hypot(z.real, z.imag): abs(complex) raises
@@ -208,7 +222,7 @@ def _eigvalsh_report(rho: np.ndarray) -> DensityReport:
     if math.isnan(h_defect):
         # a non-finite entry: LAPACK rejects it, and the report comes back not ok
         return DensityReport._make((h_defect, math.nan, math.nan, False))
-    t_defect = abs(complex(np.trace(rho)) - 1.0)
+    t_defect = abs(complex(rho.trace()) - 1.0)
     # halved before the sum, which cannot overflow for finite entries
     min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
     ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
 from spinprep import equilibrium_observables, invert_field
-from spinprep.cli import _fmt, _write_csv, main
+from spinprep.cli import _csv_rows, _fmt, _write_csv, main
 
 
 def run(capsys, *argv):
@@ -77,7 +78,7 @@ class TestSweepBloch:
         assert len(out.splitlines()) == 4
 
     def test_row_template_writes_the_cell_format_bytes(self, capsys, tmp_path):
-        # the writer's one row template gives the bytes of _fmt per cell
+        # the formatter's one row template gives the bytes of _fmt per cell
         specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308]
         rows = [
             ("mori", np.float64(x), x, -x, 0.1 * (k + 1), np.float64(1.0 / 3.0))
@@ -85,10 +86,10 @@ class TestSweepBloch:
         ]
         header = ("prep", "a", "b", "c", "d", "e")
         expected = "\n".join([",".join(header), *(",".join(map(_fmt, r)) for r in rows)]) + "\n"
-        _write_csv(None, header, rows)
+        _write_csv(None, header, [_csv_rows(rows)])
         assert capsys.readouterr().out == expected
         target = tmp_path / "rows.csv"
-        _write_csv(str(target), header, rows)
+        _write_csv(str(target), header, [_csv_rows(rows[:2]), _csv_rows([]), _csv_rows(rows[2:])])
         assert target.read_bytes() == expected.encode()
 
     def test_rows_are_the_cells_of_each_figure_sweep_point(self, capsys):
@@ -110,6 +111,58 @@ class TestSweepBloch:
         run(capsys, "sweep-bloch", "--steps", "11", "--out", str(target))
         after = set(p.name for p in tmp_path.iterdir())
         assert after - before == {"only.csv"}
+
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            # the field steps are below an ulp of S1z: equal or 1-ulp-apart values
+            (("--fz-min=1", "--fz-max=1.000000000000001", "--steps=50"), "-1.1102230246251565e-16"),
+            # tanh saturates: the values near +-1 differ by roundoff
+            (("--beta-g=0", "--fz-min=-40", "--fz-max=40"), "-3.3306690738754696e-16"),
+        ],
+        ids=["field-step-below-an-ulp", "saturated-tanh"],
+    )
+    def test_roundoff_drops_pass_the_monotonicity_gate(self, capsys, argv, value):
+        code, out, err = run(capsys, "sweep-bloch", *argv)
+        assert code == 0
+        assert summary_value(err, "status") == "pass"
+        values = [v for c in summary_checks(err) for k, v in [c.split("=")] if k.endswith("_value")]
+        assert min(values, key=float) == value
+        assert len(out.splitlines()) > 1
+
+    @staticmethod
+    def _patched_sweep(monkeypatch, edit):
+        figure_sweep = spinprep.diagnostics.figure_sweep
+
+        def patched(*args):
+            points = figure_sweep(*args)
+            edit(points)
+            return points
+
+        monkeypatch.setattr(spinprep.cli, "figure_sweep", patched)
+
+    def test_swapped_points_fail_the_monotonicity_gate(self, capsys, monkeypatch):
+        def swap(points):
+            points[100], points[101] = points[101], points[100]
+
+        self._patched_sweep(monkeypatch, swap)
+        code, _, err = run(capsys, "sweep-bloch", "--beta-g=1")
+        assert code == 1
+        assert summary_value(err, "s1z_monotone_bg_1") == "fail"
+        assert float(summary_value(err, "s1z_monotone_bg_1_value")) < -1e-3
+
+    @pytest.mark.parametrize("drop, passed", [(1.5e-15, True), (2.5e-15, False), (1e-14, False)])
+    def test_a_drop_beyond_roundoff_fails_the_monotonicity_gate(self, capsys, monkeypatch, drop, passed):
+        # point 101 moved to just below point 100: only a drop within the
+        # 2e-15 roundoff of two S1z values passes, at any tolerance scale
+        def lower(points):
+            points[101] = points[101]._replace(S1z=points[100].S1z - drop)
+
+        self._patched_sweep(monkeypatch, lower)
+        code, _, err = run(capsys, "sweep-bloch", "--beta-g=1", "--tolerance-scale=1e6")
+        assert code == (0 if passed else 1)
+        assert summary_value(err, "s1z_monotone_bg_1") == ("pass" if passed else "fail")
 
 
 class TestAffinity:
@@ -515,6 +568,60 @@ class TestCouplingIndependence:
         assert out.splitlines() == [header, *rows_a, *out_b.splitlines()[1:]]
         assert summary_checks(err) == summary_checks(err_a) + summary_checks(err_b)
         assert code == max(code_a, code_b)
+
+
+    def test_failure_at_a_later_coupling_writes_no_csv(self, capsys, tmp_path):
+        # beta g = 1 runs; at beta g = 800 the Mori blow-up is not a state
+        argv = ("affinity", "--prep=mori", "--beta-e=1", "--beta-g=1,800")
+        with pytest.warns(spinprep.ExtrapolationWarning):
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spinprep: ") and "run-summary" not in err
+        target = tmp_path / "affinity.csv"
+        with pytest.warns(spinprep.ExtrapolationWarning):
+            code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("subcommand", list(spinprep.cli._SUBCOMMANDS))
+    def test_two_couplings_at_the_defaults_are_the_two_bodies_in_order(self, capsys, tmp_path, subcommand):
+        # the CSV is the header, then the body of --beta-g=a, then that of
+        # --beta-g=b, byte for byte, on stdout and in --out
+        bodies = []
+        for beta_g in ("1.5", "0"):
+            header, body = run(capsys, subcommand, f"--beta-g={beta_g}")[1].split("\n", 1)
+            assert body
+            bodies.append(body)
+        expected = "\n".join([header, "".join(bodies)])
+        assert run(capsys, subcommand, "--beta-g=1.5,0")[1] == expected
+        target = tmp_path / "two.csv"
+        run(capsys, subcommand, "--beta-g=1.5,0", "--out", str(target))
+        assert target.read_bytes() == expected.encode()
+
+
+class TestPeakMemory:
+    @staticmethod
+    def _peak_bytes(capsys, argv):
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    def test_peak_follows_the_text_and_not_the_rows_of_every_coupling(self, capsys, tmp_path):
+        # each coupling's rows become text before the next coupling runs, so
+        # two more couplings add their text (~2.3 MB each), not their rows
+        out = str(tmp_path / "sweep.csv")
+        main(["sweep-bloch", "--steps=3", "--out", out])  # first-call allocations
+        capsys.readouterr()
+        argv = ("sweep-bloch", "--steps=20000", "--out", out)
+        one = self._peak_bytes(capsys, (*argv, "--beta-g=1"))
+        three = self._peak_bytes(capsys, (*argv, "--beta-g=0.5,1,1.5"))
+        assert three < 2.0 * one, (one, three)
 
 
 class TestConfigHandling:

@@ -406,6 +406,65 @@ class TestValidateDensity:
                 assert math.isnan(expected) or np.signbit(value) == np.signbit(expected), (name, field)
             assert report.ok is ok, name
 
+    @staticmethod
+    def _lapack_report_as_first_written(rho):
+        # the larger path before it dropped its overhead: the gap always
+        # under np.errstate and the trace through np.trace; the report must
+        # keep these bits
+        scale = float(np.abs(rho).max())
+        if not math.isfinite(scale):
+            return (math.nan, math.nan, math.nan), False
+        with np.errstate(over="ignore"):
+            h_defect = float(np.abs(rho - rho.conj().T).max())
+        t_defect = abs(complex(np.trace(rho)) - 1.0)
+        min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0])
+        ok = h_defect <= 1e-12 * (1.0 + scale) and t_defect <= 1e-10 and min_eig >= -1e-10
+        return (h_defect, t_defect, min_eig), ok
+
+    @staticmethod
+    def _two_qubit_cases(rng):
+        cases = {"maximally-mixed": np.eye(4, dtype=complex) / 4}
+        for k in range(10):
+            cases[f"random-mixed-{k}"] = random_density(rng, 4)
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            for scale in (1e-300, 1.0, 1e300):
+                cases[f"random-matrix-{k}-{scale}"] = scale * g
+        for fz in (-5.0, 0.0, 0.3, 5.0):
+            cases[f"equilibrium-{fz}"] = equilibrium_state(ModelParams(1.0, 1.0, 1.5), fz)
+        for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0.0, -np.inf)):
+            for index in ((0, 0), (1, 2), (3, 0)):
+                rho = np.eye(4, dtype=complex) / 4
+                rho[index] = value
+                cases[f"{value}-at-{index}"] = rho
+        # entries near the largest double, on both sides of the scale beyond
+        # which the gap |rho - rho^dagger| may overflow
+        for big in (1e308, 6e307, 4.4e307, 1e307):
+            rho = np.eye(4, dtype=complex) / 4
+            rho[0, 0], rho[1, 1], rho[0, 1], rho[1, 0] = big, -big, big, -big
+            cases[f"opposite-entries-{big}"] = rho
+            rho = np.eye(4, dtype=complex) / 4
+            rho[2, 3], rho[3, 2] = big + big * 1j, -big + big * 1j
+            cases[f"opposite-complex-entries-{big}"] = rho
+        cases["signed-zeros"] = np.array([[-0.0, 0.0, -0.0j, 0.0j]] * 4, dtype=complex)
+        return cases
+
+    def test_two_qubit_report_keeps_the_bits_of_the_first_lapack_path(self, rng):
+        for name, rho in self._two_qubit_cases(rng).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = validate_density(rho)
+            fields, ok = self._lapack_report_as_first_written(rho)
+            got = (report.hermiticity_defect, report.trace_defect, report.min_eigenvalue)
+            for field, value, expected in zip(("defect", "trace", "eigenvalue"), got, fields):
+                assert np.array_equal(value, expected, equal_nan=True), (name, field)
+                assert math.isnan(expected) or np.signbit(value) == np.signbit(expected), (name, field)
+            assert report.ok is ok, name
+
+    def test_non_square_complex_input_is_a_dimension_error(self):
+        for shape in ((2, 3), (4,), (2, 2, 2)):
+            with pytest.raises(DimensionError):
+                validate_density(np.zeros(shape, dtype=complex))
+
     def test_report_is_an_immutable_record(self):
         for rho in (np.eye(2) / 2, np.eye(4) / 4):
             report = validate_density(rho)

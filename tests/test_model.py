@@ -369,6 +369,24 @@ class TestEquilibriumObservables:
         gaps = [abs(float(Decimal(v) - r)) for v, r in zip(p[1:], reference)]
         assert max(gaps) <= 1e-15, dict(zip(p._fields[1:], gaps))
 
+    @pytest.mark.parametrize(
+        "beta_g, fz_min, fz_max, steps",
+        [
+            (0.0, -40.0, 40.0, 201),  # tanh saturates at both ends
+            (1.5, 1.0, 1.000000000000001, 50),  # field steps below an ulp
+            (0.5, -5.0, 5.0, 41),
+        ],
+    )
+    def test_s1z_on_a_sweep_grid_is_within_the_roundoff_of_the_monotonicity_gate(
+        self, beta_g, fz_min, fz_max, steps
+    ):
+        # sweep-bloch treats a drop of S1z down to 2e-15 between two grid
+        # points as roundoff: twice this bound on the error of one S1z
+        for fz in np.linspace(fz_min, fz_max, steps).tolist():
+            s1z = equilibrium_observables(ModelParams(1.0, 1.0, beta_g), fz).S1z
+            exact = _decimal_reference(1.0, 1.0, beta_g, fz)[0]
+            assert abs(float(Decimal(s1z) - exact)) <= 1e-15, fz
+
     @pytest.mark.parametrize("e", [1e308, -1e308])
     @pytest.mark.parametrize("g", [0.0, 1.5])
     def test_finite_where_the_energies_sum_beyond_the_largest_double(self, e, g):
