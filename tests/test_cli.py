@@ -552,23 +552,29 @@ class TestCouplingIndependence:
             (("evolve", "--prep=mori"), ("0.5", "1.2")),
             (("mori-check",), ("0.5", "1.2")),
             (("pechukas",), ("1.2", "0.5")),
+            # every subcommand at its defaults
+            *(((name,), ("1.5", "0")) for name in spinprep.cli._SUBCOMMANDS),
         ],
         ids=lambda value: "-".join(value).replace("--", ""),
     )
-    def test_couplings_run_independently_and_in_order(self, capsys, argv, couplings):
+    def test_couplings_run_independently_and_in_order(self, capsys, tmp_path, argv, couplings):
         # --beta-g=a,b is the header, the rows of --beta-g=a, then those of
-        # --beta-g=b; the run-summary checks concatenate the same way
+        # --beta-g=b, byte for byte on stdout and in --out; the run-summary
+        # checks concatenate the same way
         a, b = couplings
         code_a, out_a, err_a = run(capsys, *argv, f"--beta-g={a}")
         code_b, out_b, err_b = run(capsys, *argv, f"--beta-g={b}")
         code, out, err = run(capsys, *argv, f"--beta-g={a},{b}")
-        header, *rows_a = out_a.splitlines()
-        assert out_b.splitlines()[0] == header
-        assert rows_a and out_b.splitlines()[1:]
-        assert out.splitlines() == [header, *rows_a, *out_b.splitlines()[1:]]
+        header, body_a = out_a.split("\n", 1)
+        header_b, body_b = out_b.split("\n", 1)
+        assert header_b == header
+        assert body_a and body_b
+        assert out == "\n".join([header, body_a + body_b])
         assert summary_checks(err) == summary_checks(err_a) + summary_checks(err_b)
         assert code == max(code_a, code_b)
-
+        target = tmp_path / "two.csv"
+        assert run(capsys, *argv, f"--beta-g={a},{b}", "--out", str(target))[0] == code
+        assert target.read_bytes() == out.encode()
 
     def test_failure_at_a_later_coupling_writes_no_csv(self, capsys, tmp_path):
         # beta g = 1 runs; at beta g = 800 the Mori blow-up is not a state
@@ -584,21 +590,6 @@ class TestCouplingIndependence:
         assert code == 2
         assert out == ""
         assert not target.exists()
-
-    @pytest.mark.parametrize("subcommand", list(spinprep.cli._SUBCOMMANDS))
-    def test_two_couplings_at_the_defaults_are_the_two_bodies_in_order(self, capsys, tmp_path, subcommand):
-        # the CSV is the header, then the body of --beta-g=a, then that of
-        # --beta-g=b, byte for byte, on stdout and in --out
-        bodies = []
-        for beta_g in ("1.5", "0"):
-            header, body = run(capsys, subcommand, f"--beta-g={beta_g}")[1].split("\n", 1)
-            assert body
-            bodies.append(body)
-        expected = "\n".join([header, "".join(bodies)])
-        assert run(capsys, subcommand, "--beta-g=1.5,0")[1] == expected
-        target = tmp_path / "two.csv"
-        run(capsys, subcommand, "--beta-g=1.5,0", "--out", str(target))
-        assert target.read_bytes() == expected.encode()
 
 
 class TestPeakMemory:
