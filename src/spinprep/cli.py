@@ -119,12 +119,9 @@ _MORI_ROUNDOFF_FLOOR = 1e-13
 _PECHUKAS_ROUNDOFF_FLOOR = 1e-12
 
 
-# S1z rises strictly with the field.  Each computed S1z is within 1e-15 of
-# its exact value (at most 2 eps in a 60-digit comparison over beta*e,
-# beta*g and Fz up to 1e5 in size), so the rise between two grid points is
-# within 2e-15 of the exact one: a drop down to this is roundoff, as where
-# tanh saturates or the field step is below an ulp.  Like the roundoff
-# floors, it is not scaled: the scale loosens a gate, it does not pick one.
+# A drop of S1z between adjacent grid points down to this is roundoff: each
+# computed S1z is within 1e-15 of its exact value (at most 2 eps against 60
+# digits).  Like the roundoff floors, it is not scaled.
 _S1Z_RISE_ROUNDOFF = 2e-15
 
 
@@ -259,14 +256,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _csv_rows(rows: list[tuple]) -> str:
-    """The CSV lines of one coupling's rows, each ending in a newline.
-
-    One row template, the same bytes as _fmt per cell: every row of a
-    subcommand has the cell types of its first.  A cell that is already text
-    (a --prep name, or sweep-bloch's coupling, which it formats with _fmt
-    once per coupling) is written as is with %s.  The template is repeated
-    once per row and filled from the flattened cells in one call.
-    """
+    """One coupling's rows as CSV lines: one % call on a row template repeated
+    per row, taken from the first row (every row has its cell types).  %.17g
+    gives the bytes of _fmt; a cell that is already text (a --prep name, or
+    sweep-bloch's coupling, formatted once per coupling) is written with %s."""
     if not rows:
         return ""
     template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"

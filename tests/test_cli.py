@@ -112,24 +112,30 @@ class TestSweepBloch:
         after = set(p.name for p in tmp_path.iterdir())
         assert after - before == {"only.csv"}
 
-
     @pytest.mark.parametrize(
-        "argv, value",
+        "argv, check, value",
         [
             # the field steps are below an ulp of S1z: equal or 1-ulp-apart values
-            (("--fz-min=1", "--fz-max=1.000000000000001", "--steps=50"), "-1.1102230246251565e-16"),
+            (
+                ("--fz-min=1", "--fz-max=1.000000000000001", "--steps=50"),
+                "s1z_monotone_bg_0.5",
+                "-1.1102230246251565e-16",
+            ),
             # tanh saturates: the values near +-1 differ by roundoff
-            (("--beta-g=0", "--fz-min=-40", "--fz-max=40"), "-3.3306690738754696e-16"),
+            (
+                ("--beta-g=0", "--fz-min=-40", "--fz-max=40"),
+                "s1z_monotone_bg_0",
+                "-3.3306690738754696e-16",
+            ),
         ],
         ids=["field-step-below-an-ulp", "saturated-tanh"],
     )
-    def test_roundoff_drops_pass_the_monotonicity_gate(self, capsys, argv, value):
-        code, out, err = run(capsys, "sweep-bloch", *argv)
+    def test_roundoff_drops_pass_the_monotonicity_gate(self, capsys, argv, check, value):
+        code, _, err = run(capsys, "sweep-bloch", *argv)
         assert code == 0
         assert summary_value(err, "status") == "pass"
-        values = [v for c in summary_checks(err) for k, v in [c.split("=")] if k.endswith("_value")]
-        assert min(values, key=float) == value
-        assert len(out.splitlines()) > 1
+        assert summary_value(err, check) == "pass"
+        assert summary_value(err, check + "_value") == value
 
     @staticmethod
     def _patched_sweep(monkeypatch, edit):
