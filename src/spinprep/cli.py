@@ -11,25 +11,15 @@ Subcommands
 
 Shared flags: --beta-e, --beta-g (comma list), --out PATH (default stdout),
 --config PATH (key=value file, flags win), --tolerance-scale FLOAT
-(multiplies every pass/fail tolerance).
+(multiplies every scaled threshold of _THRESHOLDS).
 
 Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
 the checks of a, then those of b.  Each coupling's rows become CSV text
 before the next coupling runs; the CSV is written only once every coupling
-has succeeded, so a run that fails at a later coupling writes none.
-sweep-bloch gates each S1z curve as rising with the field, up to roundoff:
-a drop of S1z between adjacent grid points down to 2e-15 (twice the 1e-15
-error of one S1z) passes, where the curve is flatter than that (tanh
-saturating, or a field step below an ulp), and any larger drop fails.  The
-witnesses of the equilibrium preparation are gated when uncoupled, where
-they vanish, and recorded when coupled; every other preparation is gated at
-every coupling.  Uncoupled, the mori-check and pechukas residuals are
-roundoff, so there they are gated themselves (below 1e-12) in place of
-their quadratic order and their decay.  Coupled, the same holds where they
-are roundoff: mori-check's residual at beta_F = 0.01 below 1e-13 (an
-exactly zero one leaves the order undefined, an input error), or every
-pechukas residual below 1e-12 times the scale.
+has succeeded, so a run that fails at a later coupling writes none.  Every
+check's threshold is in _THRESHOLDS; README's Command line section tables
+when each check applies and whether --tolerance-scale scales it.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
 configuration error (an unknown --prep among them), an --out that cannot be
@@ -93,36 +83,37 @@ def _parse_float_list(text: str) -> list[float]:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from err
 
 
-# --prep -> subcommand -> tolerance of its gate: the affinity defect of the
-# blow-up (affinity), the affine-fit residual of the reduced evolution
-# (evolve).  The equilibrium gates hold only when uncoupled.
-_PREPARATIONS = {
-    "equilibrium": {"affinity": 1e-9, "evolve": 1e-9},
-    "factorizing": {"affinity": 1e-13, "evolve": 1e-11},
-    "mori": {"affinity": 1e-12, "evolve": 1e-10},
-    "factorize-and-wait": {"affinity": 1e-10, "evolve": 1e-10},
-}
+_PREPARATIONS = ("equilibrium", "factorizing", "mori", "factorize-and-wait")
 
 # the Mori blow-up is a linear response: its samples stay within |S1z| <= this
 _MORI_S1Z = 0.05
 
-# A Mori residual below this is roundoff (up to 8e-14 at beta*e = 1000), so
-# the ratio of two of them says nothing about their order.  Below it the
-# residuals are gated themselves, below 1e-12; a quadratic residual at
-# beta_F = 0.02 is at most 5.2 times this, so it passes that gate too.
-_MORI_ROUNDOFF_FLOOR = 1e-13
-
-# Factorization residuals all below this are roundoff (near 1e-16 where the
-# environment spin is frozen, beta e = 1e308), so they cannot show a decay;
-# they are gated themselves instead, below 1e-12 times the tolerance scale.
-# The floor is not scaled: the scale loosens a gate, it does not pick one.
-_PECHUKAS_ROUNDOFF_FLOOR = 1e-12
-
-
-# A drop of S1z between adjacent grid points down to this is roundoff: each
-# computed S1z is within 1e-15 of its exact value (at most 2 eps against 60
-# digits).  Like the roundoff floors, it is not scaled.
-_S1Z_RISE_ROUNDOFF = 2e-15
+# Every threshold of the checks: key -> (bound, scaled, witness), each with
+# its reason.  A scaled bound is a tolerance: a value passes below it times
+# --tolerance-scale.  The scale does not move an unscaled bound: a roundoff
+# floor, which picks the branch of a check (the scale loosens a gate, it does
+# not pick one), or a (low, high) range, which passes the values inside it.
+# A witness of the equilibrium preparation is gated only when uncoupled.
+_THRESHOLDS = {
+    "linearity": (1e-9, True, True),  # uncoupled, the observables are linear in S1z
+    "convexity": (1e-10, True, True),  # uncoupled, mixing equilibrium states gives one
+    "chi": (1e-6, True, False),  # chi against a central difference with an O(fd-step^2) error
+    "roundoff": (1e-12, True, False),  # Mori and pechukas residuals that are roundoff
+    # a Mori residual at beta_F = 0.01 below this is roundoff (up to 8e-14 at
+    # beta*e = 1000); a quadratic one at beta_F = 0.02 is then below 5.2e-13,
+    # which passes the roundoff gate too
+    "mori_floor": (1e-13, False, False),
+    "pechukas_floor": (1e-12, False, False),  # residuals all below it are roundoff: 1e-16 at beta*e = 1e308
+    # a drop of S1z between grid points within twice the 1e-15 error of one S1z
+    "s1z_rise": ((-2e-15, math.inf), False, False),
+    "quadratic_order": ((2.8, 5.2), False, False),  # 4 when the Mori residual is quadratic
+    # the affinity defect of each preparation's blow-up and the affine-fit
+    # residual of its reduced evolution: the roundoff of an affine map
+    ("affinity", "equilibrium"): (1e-9, True, True), ("evolve", "equilibrium"): (1e-9, True, True),
+    ("affinity", "factorizing"): (1e-13, True, False), ("evolve", "factorizing"): (1e-11, True, False),
+    ("affinity", "mori"): (1e-12, True, False), ("evolve", "mori"): (1e-10, True, False),
+    ("affinity", "factorize-and-wait"): (1e-10, True, False), ("evolve", "factorize-and-wait"): (1e-10, True, False),
+}
 
 
 def _parse_preparation(text: str) -> str:
@@ -146,27 +137,30 @@ class Check:
     value: float
 
 
-def _gate(cfg: dict, name: str, value: float, tol: float) -> Check:
-    return Check(name, value < tol * cfg["tolerance_scale"], value)
+def _gate(cfg: dict, beta_g: float, key: str | tuple, name: str, value: float, recorded: str = "") -> Check:
+    """The check name of value against _THRESHOLDS[key]: below a scaled bound
+    times --tolerance-scale, or inside an unscaled (low, high) range.
 
-
-def _equilibrium_gate(cfg: dict, beta_g: float, names: tuple, value: float, tol: float) -> Check:
-    """The equilibrium gate policy: gated when uncoupled, recorded when coupled.
-
-    names is (uncoupled name, coupled name).  An equilibrium witness vanishes
-    at g = 0, so there it must stay below tol; at g != 0 it is the
-    nonlinearity being measured, and it is recorded as a pass.
+    A witness of the equilibrium preparation vanishes at g = 0 and is gated
+    there; at g != 0 it is the nonlinearity being measured, recorded as a
+    pass, as recorded_bg_<g> or, without a recorded stem, as name.
     """
-    if beta_g == 0.0:
-        return _gate(cfg, names[0], value, tol)
-    return Check(names[1], True, value)
+    bound, scaled, witness = _THRESHOLDS[key]
+    if witness and beta_g != 0.0:
+        return Check(f"{recorded}_bg_{_fmt(beta_g)}" if recorded else name, True, value)
+    passed = value < bound * cfg["tolerance_scale"] if scaled else bound[0] <= value <= bound[1]
+    return Check(name, passed, value)
 
 
-def _preparation_gate(cfg: dict, beta_g: float, subcommand: str, name: str, value: float) -> Check:
-    tol = _PREPARATIONS[cfg["prep"]][subcommand]
-    if cfg["prep"] == "equilibrium":
-        return _equilibrium_gate(cfg, beta_g, (name, name), value, tol)
-    return _gate(cfg, name, value, tol)
+def _roundoff_gate(cfg: dict, beta_g: float, residuals, probe, floor: str, exact: str) -> Check | None:
+    """mori-check's and pechukas' rule: their residuals are gated themselves
+    when uncoupled (the Mori blow-up is exact, the equilibrium state a
+    product) or roundoff (probe below its floor), where a ratio or a decay of
+    them measures nothing; None leaves the claim on their order or decay."""
+    if beta_g == 0.0 or probe < _THRESHOLDS[floor][0]:
+        name = f"{exact}_when_uncoupled" if beta_g == 0.0 else f"{exact}_bg_{_fmt(beta_g)}"
+        return _gate(cfg, beta_g, "roundoff", name, max(residuals))
+    return None
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -193,11 +187,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     fz_list at least two fields long and strictly increasing in |Fz| (its
     residuals must decay along it), fz_grid at least five fields with at
     least two distinct ones (the affine fit's minimum; the Mori preparation
-    samples its own states), samples at least 2, f_steps at least 1, points
-    at least 3 and steps at least 2, so that no run tests nothing; no
+    samples its own states), samples at least 2, f_steps at least 2 and
+    f_min != f_max (or every convexity test mixes a state with itself),
+    points at least 3 and steps at least 2, so that no run tests nothing; no
     coupling may appear twice in beta_g (0 and -0 are the same coupling), so
-    every run-summary key is unique; prep must name a preparation of the
-    table, and t0 must be positive for factorize-and-wait.  A violation is a
+    every run-summary key is unique; prep must name one of _PREPARATIONS,
+    and t0 must be positive for factorize-and-wait.  A violation is a
     configuration error (exit 2), found before any runner starts.
     """
     schema = _SUBCOMMANDS[args.subcommand].options
@@ -209,7 +204,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, (convert, default) in schema.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            cfg[key] = convert(flag_value) if isinstance(flag_value, str) else flag_value
+            cfg[key] = convert(flag_value)
         elif key in config:
             cfg[key] = convert(config[key])
         else:
@@ -249,9 +244,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"fz-grid needs at least two distinct fields for the affine fit, got {cfg['fz_grid']}")
     if cfg.get("prep") == "factorize-and-wait" and not cfg["t0"] > 0.0:
         raise ValueError(f"t0 must be positive for factorize-and-wait, got {cfg['t0']}")
-    for key, least in (("samples", 2), ("f_steps", 1), ("points", 3), ("steps", 2)):
+    for key, least in (("samples", 2), ("f_steps", 2), ("points", 3), ("steps", 2)):
         if key in cfg and cfg[key] < least:
             raise ValueError(f"{key.replace('_', '-')} must be at least {least}, got {cfg[key]}")
+    if "f_min" in cfg and cfg["f_min"] == cfg["f_max"]:
+        raise ValueError(f"f-min and f-max must differ, or every test mixes a state with itself, got {cfg['f_min']}")
     return cfg
 
 
@@ -309,8 +306,7 @@ def _run_sweep_bloch(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]
     points = figure_sweep(cfg["beta_e"], beta_g, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
     worst = float(np.diff([p.S1z for p in points]).min())
     coupling = _fmt(beta_g)  # the same cell in every row, formatted once
-    check = Check(f"s1z_monotone_bg_{coupling}", worst >= -_S1Z_RISE_ROUNDOFF, worst)
-    return [(coupling, *p) for p in points], [check]
+    return [(coupling, *p) for p in points], [_gate(cfg, beta_g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
 
 
 def _run_sweep_linearity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
@@ -319,8 +315,7 @@ def _run_sweep_linearity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Ch
     curves = [report.curves[name] for name in ("S2z", "Cxx", "Cyy", "Czz")]
     rows = [(beta_g, float(s), *(float(c[k]) for c in curves)) for k, s in enumerate(report.s1z)]
     worst = max(fit.max_residual for fit in report.fits.values())
-    names = ("linear_when_uncoupled", f"residual_recorded_bg_{_fmt(beta_g)}")
-    return rows, [_equilibrium_gate(cfg, beta_g, names, worst, 1e-9)]
+    return rows, [_gate(cfg, beta_g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")]
 
 
 def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
@@ -336,8 +331,7 @@ def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
                 r = convexity_test(model, end1, end2, float(lam))
                 rows.append((beta_g, r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect))
                 worst = max(worst, r.S2_defect, r.C_defect)
-    names = ("convex_when_uncoupled", f"defect_recorded_bg_{_fmt(beta_g)}")
-    return rows, [_equilibrium_gate(cfg, beta_g, names, worst, 1e-10)]
+    return rows, [_gate(cfg, beta_g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")]
 
 
 def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
@@ -360,8 +354,7 @@ def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
         return state
 
     defect = affinity_defect(image, samples, cfg["lambdas"])
-    name = f"affinity_{cfg['prep']}_bg_{_fmt(beta_g)}"
-    check = _preparation_gate(cfg, beta_g, "affinity", name, defect)
+    check = _gate(cfg, beta_g, ("affinity", cfg["prep"]), f"affinity_{cfg['prep']}_bg_{_fmt(beta_g)}", defect)
     return [(cfg["prep"], cfg["beta_e"], beta_g, defect)], [check]
 
 
@@ -382,7 +375,7 @@ def _run_evolve(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     ]
     residual = fit_affine_map(pairs).residual
     name = f"evolution_fit_{cfg['prep']}_bg_{_fmt(beta_g)}"
-    return rows, [_preparation_gate(cfg, beta_g, "evolve", name, residual)]
+    return rows, [_gate(cfg, beta_g, ("evolve", cfg["prep"]), name, residual)]
 
 
 def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
@@ -405,14 +398,10 @@ def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]
             "undefined at this coupling"
         )
     ratio = residuals[0] / residuals[1]
-    if beta_g == 0.0 or residuals[1] < _MORI_ROUNDOFF_FLOOR:
-        # uncoupled the Mori blow-up is exact, and at a large enough coupling
-        # it is exact to roundoff: both residuals are roundoff
-        name = "mori_exact_when_uncoupled" if beta_g == 0.0 else f"mori_exact_bg_{_fmt(beta_g)}"
-        order = _gate(cfg, name, max(residuals), 1e-12)
-    else:
-        order = Check(f"quadratic_order_bg_{_fmt(beta_g)}", 2.8 <= ratio <= 5.2, ratio)
-    chi_check = _gate(cfg, f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd), 1e-6)
+    # at a large enough coupling the Mori blow-up is exact to roundoff
+    roundoff = _roundoff_gate(cfg, beta_g, residuals, residuals[1], "mori_floor", "mori_exact")
+    order = roundoff or _gate(cfg, beta_g, "quadratic_order", f"quadratic_order_bg_{_fmt(beta_g)}", ratio)
+    chi_check = _gate(cfg, beta_g, "chi", f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd))
     return [(beta_g, chi, float(fd), *residuals, ratio)], [chi_check, order]
 
 
@@ -420,14 +409,10 @@ def _run_pechukas(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
     model = _model(cfg["beta_e"], beta_g)
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
     rows = [(beta_g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
-    if beta_g == 0.0 or max(values) < _PECHUKAS_ROUNDOFF_FLOOR:
-        # uncoupled the equilibrium state is a product, and where the
-        # environment spin is frozen (beta e = 1e308) it is one to roundoff:
-        # residuals that are all roundoff cannot show a decay
-        name = "factorized_when_uncoupled" if beta_g == 0.0 else f"factorized_bg_{_fmt(beta_g)}"
-        return rows, [_gate(cfg, name, max(values), 1e-12)]
+    # where the environment spin is frozen (beta e = 1e308) the state is a product to roundoff
+    roundoff = _roundoff_gate(cfg, beta_g, values, max(values), "pechukas_floor", "factorized")
     decreasing = all(a > b for a, b in zip(values, values[1:]))
-    return rows, [Check(f"residual_decay_bg_{_fmt(beta_g)}", decreasing, values[-1])]
+    return rows, [roundoff or Check(f"residual_decay_bg_{_fmt(beta_g)}", decreasing, values[-1])]
 
 
 class _Subcommand:

@@ -188,10 +188,9 @@ def figure_sweep(
     """
     if steps < 2:
         raise ValueError(f"need at least 2 field steps, got {steps}")
-    if not (math.isfinite(float(fz_max) - float(fz_min)) and np.isfinite(beta_e)):
-        raise ValueError("sweep bounds, their width and beta_e must be finite")
-    if not np.isfinite(beta_g):
-        raise ValueError("beta_g must be finite")
+    if not math.isfinite(float(fz_max) - float(fz_min)):
+        raise ValueError("sweep bounds and their width must be finite")
+    # ModelParams rejects a beta_e or beta_g that is not finite
     model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
     fields = np.linspace(fz_min, fz_max, steps).tolist()
     return [equilibrium_observables(model, fz) for fz in fields]

@@ -9,7 +9,7 @@ import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
 from spinprep import equilibrium_observables, invert_field
-from spinprep.cli import _csv_rows, _fmt, _write_csv, main
+from spinprep.cli import _THRESHOLDS, _csv_rows, _fmt, _write_csv, main
 
 
 def run(capsys, *argv):
@@ -349,17 +349,20 @@ class TestMoriCheckAndPechukas:
         assert summary_value(err, check) == "pass"
         assert float(summary_value(err, check + "_value")) < 1e-13
         assert "quadratic_order" not in err and "residual_decay" not in err
+        # a tight scale fails the roundoff gate but does not leave its branch
         code, _, err = run(capsys, *argv, "--tolerance-scale=1e-5")
         assert code == 1
+        assert summary_value(err, check) == "fail"
 
+    @pytest.mark.parametrize("scale", ["1e-3", "1e12"])
     @pytest.mark.parametrize(
         "subcommand,check", [("mori-check", "quadratic_order_bg_1"), ("pechukas", "residual_decay_bg_1")]
     )
-    def test_tolerance_scale_does_not_skip_the_coupled_claim(self, capsys, subcommand, check):
-        # a loose scale loosens the roundoff gates but does not take their
-        # branch: at beta g = 1 the order and the decay are still checked
-        code, _, err = run(capsys, subcommand, "--tolerance-scale=1e12")
-        assert code == 0
+    def test_tolerance_scale_does_not_skip_the_coupled_claim(self, capsys, subcommand, check, scale):
+        # the scale loosens or tightens the roundoff gates but does not take
+        # their branch: at beta g = 1 the order and the decay are still
+        # checked, and their verdict does not move
+        _, _, err = run(capsys, subcommand, f"--tolerance-scale={scale}")
         assert summary_value(err, check) == "pass"
         assert "_exact_bg_" not in err and "factorized_bg_" not in err
 
@@ -390,6 +393,59 @@ class TestMoriCheckAndPechukas:
         assert code == 2
         assert out == ""
         assert "not a valid density matrix" in err
+
+
+def _preparation_cases():
+    for subcommand, stem in (("affinity", "affinity"), ("evolve", "evolution_fit")):
+        for prep in ("equilibrium", "factorizing", "mori", "factorize-and-wait"):
+            # the equilibrium witnesses are gated only when uncoupled
+            g = "0" if prep == "equilibrium" else "1.5"
+            yield (subcommand, prep), (subcommand, f"--prep={prep}", f"--beta-g={g}"), f"{stem}_{prep}_bg_{g}"
+
+
+# an argv for each threshold of the table, and the check it decides there:
+# a scaled tolerance at a positive value of its check, an unscaled bound
+# where scaling it would change the check's verdict or branch.  The two
+# roundoff floors are in test_tolerance_scale_does_not_skip_the_coupled_claim.
+THRESHOLD_CASES = [
+    ("linearity", ("sweep-linearity", "--beta-g=0"), "linear_when_uncoupled"),
+    ("convexity", ("convexity", "--beta-g=0"), "convex_when_uncoupled"),
+    ("chi", ("mori-check",), "chi_matches_fd_bg_1"),
+    ("roundoff", ("mori-check", "--beta-g=0"), "mori_exact_when_uncoupled"),
+    ("roundoff", ("mori-check", "--beta-g=1e5"), "mori_exact_bg_100000"),
+    ("roundoff", ("pechukas", "--beta-g=0"), "factorized_when_uncoupled"),
+    ("roundoff", ("pechukas", "--beta-e=1e308"), "factorized_bg_1"),
+    ("s1z_rise", ("sweep-bloch", "--beta-g=0", "--fz-min=-40", "--fz-max=40"), "s1z_monotone_bg_0"),
+    ("quadratic_order", ("mori-check",), "quadratic_order_bg_1"),
+    *_preparation_cases(),
+]
+THRESHOLD_IDS = [f"{'/'.join(k) if isinstance(k, tuple) else k}:{' '.join(argv)}" for k, argv, _ in THRESHOLD_CASES]
+
+
+class TestThresholds:
+    def test_every_threshold_has_a_case(self):
+        floors = {"mori_floor", "pechukas_floor"}
+        assert {key for key, _, _ in THRESHOLD_CASES} | floors == set(_THRESHOLDS)
+
+    @pytest.mark.parametrize("key, argv, check", THRESHOLD_CASES, ids=THRESHOLD_IDS)
+    def test_each_threshold_is_the_one_in_use(self, capsys, key, argv, check):
+        bound, scaled, _ = _THRESHOLDS[key]
+        _, _, err = run(capsys, *argv)
+        value = float(summary_value(err, check + "_value"))
+        if scaled:
+            # the check passes at twice its value and fails at half of it
+            assert value > 0.0
+            for factor, verdict in ((2.0, "pass"), (0.5, "fail")):
+                _, _, err = run(capsys, *argv, f"--tolerance-scale={factor * value / bound!r}")
+                assert summary_value(err, check) == verdict, factor
+            return
+        # the scale moves no verdict of this check and no branch of any check
+        for scale in ("1e-3", "1e12"):
+            _, _, scaled_err = run(capsys, *argv, f"--tolerance-scale={scale}")
+            assert summary_value(scaled_err, check) == summary_value(err, check) == "pass"
+            assert summary_value(scaled_err, check + "_value") == summary_value(err, check + "_value")
+            names = [[part.split("=")[0] for part in summary_checks(e)] for e in (scaled_err, err)]
+            assert names[0] == names[1]
 
 
 class TestInputsNearTheLargestDouble:
@@ -706,6 +762,8 @@ class TestConfigHandling:
             ("affinity", "--lambdas=-0.25"),
             ("sweep-linearity", "--points=2"),
             ("sweep-bloch", "--steps=1"),
+            ("convexity", "--f-steps=1", "--beta-g=0"),
+            ("convexity", "--f-min=1", "--f-max=1", "--beta-g=0"),
         ],
         ids=[
             "beta-g-not-a-number",
@@ -748,6 +806,8 @@ class TestConfigHandling:
             "lambdas-negative",
             "points-two",
             "steps-one",
+            "f-steps-one",
+            "f-range-empty",
         ],
     )
     def test_malformed_flag_value(self, capsys, argv):
