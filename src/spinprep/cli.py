@@ -138,8 +138,8 @@ class Check:
 
 
 def _gate(cfg: dict, beta_g: float, key: str | tuple, name: str, value: float, recorded: str = "") -> Check:
-    """The check name of value against _THRESHOLDS[key]: below a scaled bound
-    times --tolerance-scale, or inside an unscaled (low, high) range.
+    """The check name of value against _THRESHOLDS[key]: inside a (low, high)
+    range, or below a bound, times --tolerance-scale when the bound is scaled.
 
     A witness of the equilibrium preparation vanishes at g = 0 and is gated
     there; at g != 0 it is the nonlinearity being measured, recorded as a
@@ -148,8 +148,9 @@ def _gate(cfg: dict, beta_g: float, key: str | tuple, name: str, value: float, r
     bound, scaled, witness = _THRESHOLDS[key]
     if witness and beta_g != 0.0:
         return Check(f"{recorded}_bg_{_fmt(beta_g)}" if recorded else name, True, value)
-    passed = value < bound * cfg["tolerance_scale"] if scaled else bound[0] <= value <= bound[1]
-    return Check(name, passed, value)
+    if isinstance(bound, tuple):
+        return Check(name, bound[0] <= value <= bound[1], value)
+    return Check(name, value < bound * (cfg["tolerance_scale"] if scaled else 1.0), value)
 
 
 def _roundoff_gate(cfg: dict, beta_g: float, residuals, probe, floor: str, exact: str) -> Check | None:
@@ -157,7 +158,7 @@ def _roundoff_gate(cfg: dict, beta_g: float, residuals, probe, floor: str, exact
     when uncoupled (the Mori blow-up is exact, the equilibrium state a
     product) or roundoff (probe below its floor), where a ratio or a decay of
     them measures nothing; None leaves the claim on their order or decay."""
-    if beta_g == 0.0 or probe < _THRESHOLDS[floor][0]:
+    if beta_g == 0.0 or _gate(cfg, beta_g, floor, floor, probe).passed:
         name = f"{exact}_when_uncoupled" if beta_g == 0.0 else f"{exact}_bg_{_fmt(beta_g)}"
         return _gate(cfg, beta_g, "roundoff", name, max(residuals))
     return None
@@ -202,13 +203,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = {}
     for key, (convert, default) in schema.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = convert(flag_value)
-        elif key in config:
-            cfg[key] = convert(config[key])
-        else:
-            cfg[key] = default
+        text = getattr(args, key, None)  # a flag wins over the config file
+        text = config.get(key) if text is None else text
+        cfg[key] = default if text is None else convert(text)
     for key, value in cfg.items():
         if isinstance(value, str):
             continue

@@ -361,8 +361,10 @@ class TestMoriCheckAndPechukas:
     def test_tolerance_scale_does_not_skip_the_coupled_claim(self, capsys, subcommand, check, scale):
         # the scale loosens or tightens the roundoff gates but does not take
         # their branch: at beta g = 1 the order and the decay are still
-        # checked, and their verdict does not move
-        _, _, err = run(capsys, subcommand, f"--tolerance-scale={scale}")
+        # checked, and their verdict does not move; only chi's gap of 2.0e-9
+        # fails, at 1e-3, its gate of 1e-9
+        code, _, err = run(capsys, subcommand, f"--tolerance-scale={scale}")
+        assert code == (1 if (subcommand, scale) == ("mori-check", "1e-3") else 0)
         assert summary_value(err, check) == "pass"
         assert "_exact_bg_" not in err and "factorized_bg_" not in err
 
@@ -406,7 +408,8 @@ def _preparation_cases():
 # an argv for each threshold of the table, and the check it decides there:
 # a scaled tolerance at a positive value of its check, an unscaled bound
 # where scaling it would change the check's verdict or branch.  The two
-# roundoff floors are in test_tolerance_scale_does_not_skip_the_coupled_claim.
+# roundoff floors, which pick a branch, are in UNSCALED_CASES and
+# test_tolerance_scale_does_not_skip_the_coupled_claim.
 THRESHOLD_CASES = [
     ("linearity", ("sweep-linearity", "--beta-g=0"), "linear_when_uncoupled"),
     ("convexity", ("convexity", "--beta-g=0"), "convex_when_uncoupled"),
@@ -422,10 +425,30 @@ THRESHOLD_CASES = [
 THRESHOLD_IDS = [f"{'/'.join(k) if isinstance(k, tuple) else k}:{' '.join(argv)}" for k, argv, _ in THRESHOLD_CASES]
 
 
+# an argv for each unscaled threshold, the check it decides there, and how
+# to read its value: a range's from the run-summary, a roundoff floor's probe
+# (the Mori residual at beta_F = 0.01, the largest pechukas residual) from
+# the CSV, with the roundoff check and the claim the floor chooses between
+UNSCALED_CASES = [
+    ("s1z_rise", ("sweep-bloch", "--beta-g=0", "--fz-min=-40", "--fz-max=40"), "s1z_monotone_bg_0"),
+    ("quadratic_order", ("mori-check",), "quadratic_order_bg_1"),
+    ("mori_floor", ("mori-check",), ("mori_exact_bg_1", "quadratic_order_bg_1")),
+    ("pechukas_floor", ("pechukas",), ("factorized_bg_1", "residual_decay_bg_1")),
+]
+
+
+def _floor_probe(key, out):
+    _, *rows = out.splitlines()
+    if key == "mori_floor":
+        return float(rows[0].split(",")[4])
+    return max(float(row.split(",")[2]) for row in rows)
+
+
 class TestThresholds:
     def test_every_threshold_has_a_case(self):
-        floors = {"mori_floor", "pechukas_floor"}
-        assert {key for key, _, _ in THRESHOLD_CASES} | floors == set(_THRESHOLDS)
+        unscaled = {key for key, (_, scaled, _) in _THRESHOLDS.items() if not scaled}
+        assert {key for key, _, _ in UNSCALED_CASES} == unscaled
+        assert {key for key, _, _ in THRESHOLD_CASES} | unscaled == set(_THRESHOLDS)
 
     @pytest.mark.parametrize("key, argv, check", THRESHOLD_CASES, ids=THRESHOLD_IDS)
     def test_each_threshold_is_the_one_in_use(self, capsys, key, argv, check):
@@ -446,6 +469,49 @@ class TestThresholds:
             assert summary_value(scaled_err, check + "_value") == summary_value(err, check + "_value")
             names = [[part.split("=")[0] for part in summary_checks(e)] for e in (scaled_err, err)]
             assert names[0] == names[1]
+
+    def test_every_threshold_is_the_one_readme_states(self):
+        preps = ("equilibrium", "factorizing", "mori", "factorize-and-wait")
+        documented = {
+            "linearity": (1e-9, True, True),
+            "convexity": (1e-10, True, True),
+            "chi": (1e-6, True, False),
+            "roundoff": (1e-12, True, False),
+            "mori_floor": (1e-13, False, False),
+            "pechukas_floor": (1e-12, False, False),
+            "s1z_rise": ((-2e-15, math.inf), False, False),
+            "quadratic_order": ((2.8, 5.2), False, False),
+            **{("affinity", p): (v, True, p == "equilibrium") for p, v in zip(preps, (1e-9, 1e-13, 1e-12, 1e-10))},
+            **{("evolve", p): (v, True, p == "equilibrium") for p, v in zip(preps, (1e-9, 1e-11, 1e-10, 1e-10))},
+        }
+        assert _THRESHOLDS == documented
+
+    @pytest.mark.parametrize("key, argv, check", UNSCALED_CASES, ids=[key for key, _, _ in UNSCALED_CASES])
+    def test_each_unscaled_threshold_is_read_from_the_table(self, capsys, monkeypatch, key, argv, check):
+        # the scale does not move these, so the table is moved instead: a
+        # bound just past the observed value flips the verdict or the branch
+        _, out, err = run(capsys, *argv)
+        _, scaled, witness = _THRESHOLDS[key]
+        if isinstance(check, str):
+            v = float(summary_value(err, check + "_value"))
+            below, above = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+            for bound, verdict in (((v, v), "pass"), ((above, math.inf), "fail"), ((-math.inf, below), "fail")):
+                monkeypatch.setitem(_THRESHOLDS, key, (bound, scaled, witness))
+                _, _, err = run(capsys, *argv)
+                assert summary_value(err, check) == verdict, bound
+            return
+        # a probe below its floor is roundoff: its residuals, here far above
+        # roundoff, are gated themselves and fail; at the floor the claim holds
+        probe = _floor_probe(key, out)
+        exact, claim = check
+        for floor, taken, verdict, skipped in (
+            (probe, claim, "pass", exact),
+            (math.nextafter(probe, math.inf), exact, "fail", claim),
+        ):
+            monkeypatch.setitem(_THRESHOLDS, key, (floor, scaled, witness))
+            _, _, err = run(capsys, *argv)
+            assert summary_value(err, taken) == verdict, floor
+            assert skipped not in [part.split("=")[0] for part in summary_checks(err)], floor
 
 
 class TestInputsNearTheLargestDouble:
