@@ -26,7 +26,7 @@ COUPLINGS = (0.5, 1.0, 1.5)
 
 
 def main(argv):
-    curves = {beta_g: sp.figure_sweep(1.0, beta_g, -5.0, 5.0, 201) for beta_g in COUPLINGS}
+    curves = {beta_g: sp.figure_sweep(sp.ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 201) for beta_g in COUPLINGS}
     csv_path = HERE / "bloch_curves.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("beta_g,beta_Fz,S1z\n")

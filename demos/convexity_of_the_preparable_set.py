@@ -59,7 +59,7 @@ def main():
     print("\nparity shortcut: S1z is odd in the field, Cxx is even, so an affine")
     print("Cxx[S1z] would have to be constant; its actual spread over the grid:")
     for beta_g in (0.0, 0.5, 1.0, 1.5):
-        cxx = [p.Cxx for p in sp.figure_sweep(1.0, beta_g, -5.0, 5.0, 101)]
+        cxx = [p.Cxx for p in sp.figure_sweep(sp.ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 101)]
         spread = max(cxx) - min(cxx)
         print(f"  beta*g = {beta_g}: spread {spread:.3e}"
               + ("  (constant -> affine possible)" if spread <= 1e-10 else ""))

@@ -52,7 +52,7 @@ def main(argv):
 
     print("\nevenness witness (Cxx must be constant if the blow-up were affine):")
     for beta_g in COUPLINGS:
-        cxx = [p.Cxx for p in sp.figure_sweep(1.0, beta_g, -5.0, 5.0, 101)]
+        cxx = [p.Cxx for p in sp.figure_sweep(sp.ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 101)]
         spread = max(cxx) - min(cxx)
         verdict = "constant" if spread <= 1e-10 else "varies"
         print(f"  beta*g = {beta_g}: Cxx spread {spread:.3e} -> {verdict}")

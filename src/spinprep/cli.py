@@ -181,19 +181,7 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
-    Every number and list entry must be finite, every list nonempty, fd_step
-    and tolerance_scale positive, fz_min below fz_max, the field widths
-    fz_max - fz_min and f_max - f_min finite (so that no grid step
-    overflows), s1z_max and every mixing weight in lambdas inside (0, 1),
-    fz_list at least two fields long and strictly increasing in |Fz| (its
-    residuals must decay along it), fz_grid at least five fields with at
-    least two distinct ones (the affine fit's minimum; the Mori preparation
-    samples its own states), samples at least 2, f_steps at least 2 and
-    f_min != f_max (or every convexity test mixes a state with itself),
-    points at least 3 and steps at least 2, so that no run tests nothing; no
-    coupling may appear twice in beta_g (0 and -0 are the same coupling), so
-    every run-summary key is unique; prep must name one of _PREPARATIONS,
-    and t0 must be positive for factorize-and-wait.  A violation is a
+    README's Command line section states each rule.  A violation is a
     configuration error (exit 2), found before any runner starts.
     """
     schema = _SUBCOMMANDS[args.subcommand].options
@@ -270,11 +258,6 @@ def _write_csv(path: str | None, header: tuple[str, ...], chunks: list[str]) -> 
             fh.writelines(lines)
 
 
-def _model(beta_e: float, beta_g: float) -> ModelParams:
-    # dimensionless convention: beta = 1, couplings carry the beta products
-    return ModelParams(beta=1.0, e=beta_e, g=beta_g)
-
-
 def _z_state(s1z: float):
     return reduced_from_bloch(np.array([0.0, 0.0, s1z]))
 
@@ -299,24 +282,23 @@ def _into_range(cfg: dict, prep, states: list) -> list:
     return states
 
 
-def _run_sweep_bloch(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    points = figure_sweep(cfg["beta_e"], beta_g, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
+def _run_sweep_bloch(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+    points = figure_sweep(model, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
     worst = float(np.diff([p.S1z for p in points]).min())
-    coupling = _fmt(beta_g)  # the same cell in every row, formatted once
-    return [(coupling, *p) for p in points], [_gate(cfg, beta_g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
+    coupling = _fmt(model.g)  # the same cell in every row, formatted once
+    return [(coupling, *p) for p in points], [_gate(cfg, model.g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
 
 
-def _run_sweep_linearity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
+def _run_sweep_linearity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     grid = np.linspace(-cfg["s1z_max"], cfg["s1z_max"], cfg["points"])
-    report = linearity_scan(_model(cfg["beta_e"], beta_g), grid)
+    report = linearity_scan(model, grid)
     curves = [report.curves[name] for name in ("S2z", "Cxx", "Cyy", "Czz")]
-    rows = [(beta_g, float(s), *(float(c[k]) for c in curves)) for k, s in enumerate(report.s1z)]
+    rows = [(model.g, float(s), *(float(c[k]) for c in curves)) for k, s in enumerate(report.s1z)]
     worst = max(fit.max_residual for fit in report.fits.values())
-    return rows, [_gate(cfg, beta_g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")]
+    return rows, [_gate(cfg, model.g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")]
 
 
-def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    model = _model(cfg["beta_e"], beta_g)
+def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
     # each end state is evaluated once and shared by every test it takes part in
     ends = [equilibrium_observables(model, f) for f in fields]
@@ -326,13 +308,13 @@ def _run_convexity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
         for end2 in ends:
             for lam in cfg["lambdas"]:
                 r = convexity_test(model, end1, end2, float(lam))
-                rows.append((beta_g, r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect))
+                rows.append((model.g, r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect))
                 worst = max(worst, r.S2_defect, r.C_defect)
-    return rows, [_gate(cfg, beta_g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")]
+    return rows, [_gate(cfg, model.g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")]
 
 
-def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    prep = _make_preparation(cfg, _model(cfg["beta_e"], beta_g))
+def _run_affinity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+    prep = _make_preparation(cfg, model)
     reach = _MORI_S1Z if cfg["prep"] == "mori" else cfg["s1z_max"]
     targets = chebyshev_targets(cfg["samples"], -reach, reach)
     if cfg["prep"] == "factorizing":
@@ -351,12 +333,11 @@ def _run_affinity(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
         return state
 
     defect = affinity_defect(image, samples, cfg["lambdas"])
-    check = _gate(cfg, beta_g, ("affinity", cfg["prep"]), f"affinity_{cfg['prep']}_bg_{_fmt(beta_g)}", defect)
-    return [(cfg["prep"], cfg["beta_e"], beta_g, defect)], [check]
+    check = _gate(cfg, model.g, ("affinity", cfg["prep"]), f"affinity_{cfg['prep']}_bg_{_fmt(model.g)}", defect)
+    return [(cfg["prep"], model.e, model.g, defect)], [check]
 
 
-def _run_evolve(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    model = _model(cfg["beta_e"], beta_g)
+def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     prep = _make_preparation(cfg, model)
     u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
     if cfg["prep"] == "mori":
@@ -367,16 +348,15 @@ def _run_evolve(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
         states = _into_range(cfg, prep, states)
     pairs = [(rho_s, reduced_evolution(prep, u, rho_s)) for rho_s in states]
     rows = [
-        (beta_g, float(qubit_bloch(rho_s)[2]), *(float(x) for x in qubit_bloch(out)))
+        (model.g, float(qubit_bloch(rho_s)[2]), *(float(x) for x in qubit_bloch(out)))
         for rho_s, out in pairs
     ]
     residual = fit_affine_map(pairs).residual
-    name = f"evolution_fit_{cfg['prep']}_bg_{_fmt(beta_g)}"
-    return rows, [_gate(cfg, beta_g, ("evolve", cfg["prep"]), name, residual)]
+    name = f"evolution_fit_{cfg['prep']}_bg_{_fmt(model.g)}"
+    return rows, [_gate(cfg, model.g, ("evolve", cfg["prep"]), name, residual)]
 
 
-def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    model = _model(cfg["beta_e"], beta_g)
+def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     step = cfg["fd_step"]
     chi = float(susceptibility(model, [SZ])[0, 0])
     fd = (
@@ -390,33 +370,32 @@ def _run_mori_check(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]
         residuals.append(float(np.linalg.norm(blow_up(prep, partial_trace(rho, keep=0)) - rho)))
     if residuals[1] == 0.0:
         raise DomainError(
-            f"mori-check at beta_g = {_fmt(beta_g)}: the Mori residual at beta_F = 0.01 "
+            f"mori-check at beta_g = {_fmt(model.g)}: the Mori residual at beta_F = 0.01 "
             "is exactly 0, so the quadratic order (the ratio of the two residuals) is "
             "undefined at this coupling"
         )
     ratio = residuals[0] / residuals[1]
     # at a large enough coupling the Mori blow-up is exact to roundoff
-    roundoff = _roundoff_gate(cfg, beta_g, residuals, residuals[1], "mori_floor", "mori_exact")
-    order = roundoff or _gate(cfg, beta_g, "quadratic_order", f"quadratic_order_bg_{_fmt(beta_g)}", ratio)
-    chi_check = _gate(cfg, beta_g, "chi", f"chi_matches_fd_bg_{_fmt(beta_g)}", abs(chi - fd))
-    return [(beta_g, chi, float(fd), *residuals, ratio)], [chi_check, order]
+    roundoff = _roundoff_gate(cfg, model.g, residuals, residuals[1], "mori_floor", "mori_exact")
+    order = roundoff or _gate(cfg, model.g, "quadratic_order", f"quadratic_order_bg_{_fmt(model.g)}", ratio)
+    chi_check = _gate(cfg, model.g, "chi", f"chi_matches_fd_bg_{_fmt(model.g)}", abs(chi - fd))
+    return [(model.g, chi, float(fd), *residuals, ratio)], [chi_check, order]
 
 
-def _run_pechukas(cfg: dict, beta_g: float) -> tuple[list[tuple], list[Check]]:
-    model = _model(cfg["beta_e"], beta_g)
+def _run_pechukas(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
-    rows = [(beta_g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
+    rows = [(model.g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
     # where the environment spin is frozen (beta e = 1e308) the state is a product to roundoff
-    roundoff = _roundoff_gate(cfg, beta_g, values, max(values), "pechukas_floor", "factorized")
+    roundoff = _roundoff_gate(cfg, model.g, values, max(values), "pechukas_floor", "factorized")
     decreasing = all(a > b for a, b in zip(values, values[1:]))
-    return rows, [roundoff or Check(f"residual_decay_bg_{_fmt(beta_g)}", decreasing, values[-1])]
+    return rows, [roundoff or Check(f"residual_decay_bg_{_fmt(model.g)}", decreasing, values[-1])]
 
 
 class _Subcommand:
     """A subcommand's runner, its CSV header and its option schema."""
 
     def __init__(self, run: Callable, header: tuple[str, ...], **options):
-        self.run = run  # (cfg, beta_g) -> (rows, checks) of one coupling
+        self.run = run  # (cfg, model) -> (rows, checks) of one coupling
         self.header = header
         self.options = {**_COMMON, **options}  # name -> (converter, default)
 
@@ -496,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag_help = {
         "beta_e": "beta*e, environment-spin splitting (default 1)",
         "beta_g": "comma-separated beta*g couplings",
-        "tolerance_scale": "multiply every pass/fail tolerance (default 1)",
+        "tolerance_scale": "multiply every scaled threshold (default 1)",
         "prep": "preparation: " + ", ".join(_PREPARATIONS),
     }
     for name, command in _SUBCOMMANDS.items():
@@ -528,7 +507,8 @@ def main(argv=None) -> int:
         # the one loop over couplings: each runs on its own, in the given
         # order, and its rows become CSV text before the next one runs
         for beta_g in cfg["beta_g"]:
-            rows, coupling_checks = command.run(cfg, beta_g)
+            # dimensionless convention: beta = 1, couplings carry the beta products
+            rows, coupling_checks = command.run(cfg, ModelParams(beta=1.0, e=cfg["beta_e"], g=beta_g))
             chunks.append(_csv_rows(rows))
             n_rows += len(rows)
             checks += coupling_checks

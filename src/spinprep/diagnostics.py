@@ -176,21 +176,15 @@ def factorization_residual(rho) -> float:
     return float(np.linalg.norm(np.asarray(rho, dtype=complex) - kron(rho_s, chi)))
 
 
-def figure_sweep(
-    beta_e: float, beta_g: float, fz_min: float, fz_max: float, steps: int
-) -> list[EquilibriumCurvePoint]:
-    """Equilibrium observables of one coupling on a beta_Fz grid, in field order.
+def figure_sweep(model: ModelParams, fz_min: float, fz_max: float, steps: int) -> list[EquilibriumCurvePoint]:
+    """Equilibrium observables of one model on a field grid, in field order.
 
-    The sweep is parametrized by the dimensionless products beta*e, beta*g,
-    beta*Fz (beta is set to 1 internally, which is fully general for these
-    observables).  Each point is equilibrium_observables at one of the steps
-    fields of np.linspace(fz_min, fz_max, steps).
+    Each point is equilibrium_observables at one of the steps fields of
+    np.linspace(fz_min, fz_max, steps).
     """
     if steps < 2:
         raise ValueError(f"need at least 2 field steps, got {steps}")
     if not math.isfinite(float(fz_max) - float(fz_min)):
         raise ValueError("sweep bounds and their width must be finite")
-    # ModelParams rejects a beta_e or beta_g that is not finite
-    model = ModelParams(beta=1.0, e=beta_e, g=beta_g)
     fields = np.linspace(fz_min, fz_max, steps).tolist()
     return [equilibrium_observables(model, fz) for fz in fields]

@@ -10,7 +10,6 @@ All functions are pure: inputs are never mutated.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,12 +39,6 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-# Below this max|a|, every entry of A - A^dagger has parts of at most 2 max|a|
-# and a modulus of at most 2 sqrt(2) max|a|, short of the largest double: the
-# difference and its moduli cannot overflow, and no errstate is needed.
-_GAP_SAFE_SCALE = 0.25 * sys.float_info.max
-
-
 def _hermitian_within_tol(defect: float, scale: float) -> bool:
     """Whether a Hermiticity defect is <= 1e-12 * (1 + scale), scale = max|a|.
 
@@ -64,11 +57,8 @@ def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
     scale = float(np.abs(a).max())
     if not math.isfinite(scale):
         return math.nan, False
-    if scale < _GAP_SAFE_SCALE:
+    with np.errstate(over="ignore"):
         defect = float(np.abs(a - dag(a)).max())
-    else:
-        with np.errstate(over="ignore"):
-            defect = float(np.abs(a - dag(a)).max())
     return defect, _hermitian_within_tol(defect, scale)
 
 

@@ -8,7 +8,7 @@ import spinprep.cli
 import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
-from spinprep import equilibrium_observables, invert_field
+from spinprep import ModelParams, equilibrium_observables, invert_field
 from spinprep.cli import _THRESHOLDS, _csv_rows, _fmt, _write_csv, main
 
 
@@ -100,7 +100,7 @@ class TestSweepBloch:
         expected = [
             ",".join(map(_fmt, (beta_g, *point)))
             for beta_g in (-0.0, 1e-300, 1.5)
-            for point in spinprep.diagnostics.figure_sweep(1.0, beta_g, -5.0, 5.0, 7)
+            for point in spinprep.diagnostics.figure_sweep(ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 7)
         ]
         assert out.splitlines()[1:] == expected
         assert out.splitlines()[1].startswith("-0,")
@@ -470,6 +470,15 @@ class TestThresholds:
             names = [[part.split("=")[0] for part in summary_checks(e)] for e in (scaled_err, err)]
             assert names[0] == names[1]
 
+    @pytest.mark.parametrize("subcommand", list(spinprep.cli._SUBCOMMANDS))
+    def test_help_says_the_scale_moves_only_scaled_thresholds(self, capsys, subcommand):
+        # the floors and the ranges are unscaled, so "every tolerance" would be wrong
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand, "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--tolerance-scale TOLERANCE_SCALE multiply every scaled threshold (default 1)" in help_text
+
     def test_every_threshold_is_the_one_readme_states(self):
         preps = ("equilibrium", "factorizing", "mori", "factorize-and-wait")
         documented = {
@@ -772,6 +781,14 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "bogus" in err
+
+    def test_config_line_without_equals_sign(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=5\nbeta-g 1\n")
+        code, out, err = run(capsys, "sweep-bloch", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and ":2: expected key=value" in err
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "sweep-bloch", "--config", "/nonexistent/path.cfg")

@@ -278,7 +278,7 @@ class TestFactorizationResidual:
 
 class TestFigureSweep:
     def test_row_count_and_order(self):
-        points = figure_sweep(1.0, 0.5, -5.0, 5.0, 201)
+        points = figure_sweep(ModelParams(1.0, 1.0, 0.5), -5.0, 5.0, 201)
         assert len(points) == 201
         fz = [p.Fz for p in points]
         assert fz == sorted(fz)
@@ -287,7 +287,7 @@ class TestFigureSweep:
     def test_points_are_the_closed_form_bit_for_bit(self):
         for beta_g in (-0.0, 1e-300, 0.5, 1.5):
             model = ModelParams(1.0, 1.0, beta_g)
-            points = figure_sweep(1.0, beta_g, -3.0, 4.0, 57)
+            points = figure_sweep(model, -3.0, 4.0, 57)
             fields = np.linspace(-3.0, 4.0, 57).tolist()
             expected = [equilibrium_observables(model, f) for f in fields]
             assert [bits(p) for p in points] == [bits(p) for p in expected]
@@ -295,45 +295,46 @@ class TestFigureSweep:
 
     def test_monotone_bloch_curves(self):
         for beta_g in (0.5, 1.0, 1.5):
-            s1z = [p.S1z for p in figure_sweep(1.0, beta_g, -5.0, 5.0, 201)]
+            s1z = [p.S1z for p in figure_sweep(ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 201)]
             assert all(b > a for a, b in zip(s1z, s1z[1:]))
 
     def test_uncoupled_s2z_constant(self):
-        points = figure_sweep(1.0, 0.0, -5.0, 5.0, 51)
+        points = figure_sweep(MODEL0, -5.0, 5.0, 51)
         s2z = np.array([p.S2z for p in points])
         assert np.abs(s2z + math.tanh(1.0)).max() < 1e-12
 
     # S1z is odd and Cxx even in the field, so an affine Cxx[S1z] would have
     # to be constant: it is uncoupled and is not coupled
     def test_uncoupled_cxx_constant(self):
-        cxx = [p.Cxx for p in figure_sweep(1.0, 0.0, -5.0, 5.0, 101)]
+        cxx = [p.Cxx for p in figure_sweep(MODEL0, -5.0, 5.0, 101)]
         assert max(abs(c) for c in cxx) < 1e-14
         assert max(cxx) - min(cxx) < 1e-14
 
     def test_coupled_cxx_varies(self):
-        cxx = [p.Cxx for p in figure_sweep(1.0, 1.5, -5.0, 5.0, 101)]
+        cxx = [p.Cxx for p in figure_sweep(MODEL15, -5.0, 5.0, 101)]
         assert max(cxx) - min(cxx) > 0.01
 
     def test_parity_defects_small_for_all_couplings(self):
         for beta_g in (0.0, 0.5, 1.0, 1.5):
             model = ModelParams(1.0, 1.0, beta_g)
-            for p in figure_sweep(1.0, beta_g, -5.0, 5.0, 101):
+            for p in figure_sweep(model, -5.0, 5.0, 101):
                 mirror = equilibrium_observables(model, -p.Fz)
                 assert abs(p.S1z + mirror.S1z) < 1e-12
                 assert abs(p.Cxx - mirror.Cxx) < 1e-12
 
     def test_malformed_grids(self):
+        model = ModelParams(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            figure_sweep(1.0, math.nan, -5.0, 5.0, 10)
+            ModelParams(1.0, 1.0, math.nan)
         with pytest.raises(ValueError):
-            figure_sweep(1.0, 1.0, -5.0, 5.0, 1)
+            figure_sweep(model, -5.0, 5.0, 1)
         with pytest.raises(ValueError):
-            figure_sweep(1.0, 1.0, -np.inf, 5.0, 10)
+            figure_sweep(model, -np.inf, 5.0, 10)
         with pytest.raises(ValueError, match="width"):
             # finite bounds whose width overflows np.linspace
-            figure_sweep(1.0, 1.0, -1e308, 1e308, 10)
+            figure_sweep(model, -1e308, 1e308, 10)
 
     def test_deterministic(self):
-        a = figure_sweep(1.0, 1.5, -3.0, 3.0, 21)
-        b = figure_sweep(1.0, 1.5, -3.0, 3.0, 21)
+        a = figure_sweep(MODEL15, -3.0, 3.0, 21)
+        b = figure_sweep(MODEL15, -3.0, 3.0, 21)
         assert a == b

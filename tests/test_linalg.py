@@ -123,6 +123,10 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             partial_trace(random_density(rng, 8), keep=0)
 
+    def test_keep_names_one_of_the_two_qubits(self, rng):
+        with pytest.raises(DimensionError, match="keep must be 0"):
+            partial_trace(random_density(rng, 4), keep=2)
+
 
 class TestHermEig:
     def test_diagonal_input(self):

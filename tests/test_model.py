@@ -441,6 +441,15 @@ class TestBloch:
         with pytest.raises(DimensionError):
             bloch_decompose(np.eye(2))
 
+    @pytest.mark.parametrize(
+        "convert, value",
+        [(qubit_bloch, np.eye(4) / 4), (reduced_from_bloch, np.zeros(2))],
+        ids=["qubit-bloch-of-4x4", "reduced-from-bloch-of-2-vector"],
+    )
+    def test_qubit_conversions_reject_other_shapes(self, convert, value):
+        with pytest.raises(DimensionError):
+            convert(value)
+
     def test_reduced_from_bloch_basics(self):
         assert_close(reduced_from_bloch(np.zeros(3)), ID2 / 2, 1e-15, "unpolarized")
         up = np.array([[1, 0], [0, 0]], dtype=complex)

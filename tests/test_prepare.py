@@ -553,6 +553,10 @@ class TestMori:
         with pytest.raises(ValidationError):
             MoriLinearResponse(MODEL, (SZ + 1j * SX,))
 
+    def test_needs_at_least_one_observable(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            MoriLinearResponse(MODEL, ())
+
     def test_extrapolation_warning_outside_trust_region(self):
         # the warning points at the first frame outside prepare.py, here
         # this file, whether reached through blow_up or called directly
