@@ -9,9 +9,9 @@ Subcommands
     mori-check        susceptibility vs finite differences, quadratic-order check
     pechukas          factorization residual of equilibrium states at large fields
 
-Shared flags: --beta-e, --beta-g (comma list), --out PATH (default stdout),
---config PATH (key=value file, flags win), --tolerance-scale FLOAT
-(multiplies every scaled threshold of _THRESHOLDS).
+Every flag is declared once, in _OPTIONS: its converter, default, help and
+own rules; each subcommand names its flags in _SUBCOMMANDS.  --out PATH
+(default stdout) and --config PATH (key=value file, flags win) are shared.
 
 Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
@@ -37,6 +37,7 @@ import functools
 import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,10 +77,7 @@ def _fmt(value) -> str:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as err:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from err
+    return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
 _PREPARATIONS = ("equilibrium", "factorizing", "mori", "factorize-and-wait")
@@ -117,16 +115,70 @@ _THRESHOLDS = {
 
 def _parse_preparation(text: str) -> str:
     if text not in _PREPARATIONS:
-        choices = ", ".join(_PREPARATIONS)
-        raise ValueError(f"unknown preparation {text!r}, expected one of {choices}")
+        raise ValueError(text)
     return text
 
 
-# the options of every subcommand: name -> (converter, default)
-_COMMON = {
-    "beta_e": (float, 1.0),
-    "tolerance_scale": (float, 1.0),
+# what a value that its converter refuses is told: "<flag> <this>, got '<text>'"
+_EXPECTED = {
+    int: "must be an integer",
+    float: "must be a number",
+    _parse_float_list: "must be a comma-separated list of numbers",
+    _parse_preparation: "names an unknown preparation, expected one of " + ", ".join(_PREPARATIONS),
 }
+
+
+# A flag's converter, default and help, its own rules as (test, text) pairs
+# (a value that fails test is refused as "<flag> <text>, got <value>"), and
+# a note that --help prints after the default
+_Option = namedtuple("_Option", "convert default help rules note", defaults=((), ""))
+
+
+def _at_least(least: int) -> tuple:
+    return (lambda n: n >= least, f"must be at least {least}")
+
+
+_POSITIVE = (lambda x: x > 0.0, "must be finite and positive")
+_FRACTIONS = (lambda v: all(0.0 < x < 1.0 for x in np.atleast_1d(v)), "must lie strictly between 0 and 1")
+_ONCE = (lambda gs: len(set(gs)) == len(gs), "lists a coupling more than once")
+_FZ_LIST = (
+    (lambda fs: len(fs) >= 2, "needs at least two fields to show a decay"),
+    (lambda fs: all(abs(a) < abs(b) for a, b in zip(fs, fs[1:])), "must grow strictly in |Fz| to show a decay"),
+)
+
+# Every flag of every subcommand, declared once; each _Subcommand names its
+# own, and gives the --beta-g default.  The rules joining two flags are in _resolve.
+_OPTIONS = {
+    "beta_e": _Option(float, 1.0, "beta*e, environment-spin splitting"),
+    "tolerance_scale": _Option(float, 1.0, "multiply every scaled threshold", (_POSITIVE,)),
+    "beta_g": _Option(_parse_float_list, None, "comma-separated beta*g couplings, run in order", (_ONCE,)),
+    "fz_min": _Option(float, -5.0, "lowest beta*Fz of the field grid"),
+    "fz_max": _Option(float, 5.0, "highest beta*Fz of the field grid"),
+    "steps": _Option(int, 201, "fields on the field grid", (_at_least(2),)),
+    "s1z_max": _Option(float, 0.9, "half-width of the S1z grid or targets", (_FRACTIONS,),
+                       f"--prep mori ignores it and uses {_MORI_S1Z}"),
+    "points": _Option(int, 21, "points on the S1z grid", (_at_least(3),)),
+    "f_min": _Option(float, -2.0, "first end field of the convexity lattice"),
+    "f_max": _Option(float, 2.0, "last end field of the convexity lattice"),
+    "f_steps": _Option(int, 5, "end fields, evenly spaced", (_at_least(2),)),
+    "lambdas": _Option(_parse_float_list, [0.25, 0.5, 0.75], "comma-separated mixing weights", (_FRACTIONS,)),
+    "prep": _Option(_parse_preparation, "equilibrium", "preparation: " + ", ".join(_PREPARATIONS)),
+    "samples": _Option(int, 5, "Chebyshev targets of S1z to blow up", (_at_least(2),)),
+    "t0": _Option(float, 0.7, "waiting time of --prep factorize-and-wait", note="the other preparations ignore it"),
+    "time": _Option(float, 1.0, "evolution time"),
+    "fz_grid": _Option(_parse_float_list, [-2.0, -1.0, 0.0, 1.0, 2.0],
+                       "comma-separated fields that pick the input states", note="--prep mori reads only how many"),
+    "evolve_fz": _Option(float, 0.0, "beta*Fz of the evolution Hamiltonian"),
+    "fd_step": _Option(float, 1e-4, "step of the central difference that chi is checked against", (_POSITIVE,)),
+    "fz_list": _Option(_parse_float_list, [4.0, 6.0, 8.0], "comma-separated large beta*Fz fields", _FZ_LIST),
+}
+
+
+def _show(value) -> str:
+    """A default as --help prints it, in a form the flag reads back."""
+    if isinstance(value, list):
+        return ",".join(map(_show, value))
+    return format(value, "g") if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -180,47 +232,42 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over defaults, then check them.
 
-    README's Command line section states each rule.  A violation is a
+    Each flag's own rules are in _OPTIONS, the rules that join two flags
+    here; README's Command line section tables them.  A violation is a
     configuration error (exit 2), found before any runner starts.
     """
-    schema = _SUBCOMMANDS[args.subcommand].options
+    command = _SUBCOMMANDS[args.subcommand]
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(schema)
+    unknown = set(config) - set(command.options)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = {}
-    for key, (convert, default) in schema.items():
-        text = getattr(args, key, None)  # a flag wins over the config file
+    for key in command.options:
+        text = getattr(args, key)  # a flag wins over the config file
         text = config.get(key) if text is None else text
-        cfg[key] = default if text is None else convert(text)
+        convert = _OPTIONS[key].convert
+        try:
+            cfg[key] = command.default(key) if text is None else convert(text)
+        except ValueError:
+            raise ValueError(f"{key.replace('_', '-')} {_EXPECTED[convert]}, got {text!r}") from None
     for key, value in cfg.items():
-        if isinstance(value, str):
-            continue
         flag = key.replace("_", "-")
-        numbers = value if isinstance(value, list) else [value]
-        if not numbers:
-            raise ValueError(f"{flag} needs at least one value")
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"{flag} must be finite, got {value}")
-    if len(set(cfg["beta_g"])) < len(cfg["beta_g"]):
-        raise ValueError(f"beta-g lists a coupling more than once, got {cfg['beta_g']}")
-    for key in ("fd_step", "tolerance_scale"):
-        if key in cfg and not cfg[key] > 0.0:
-            raise ValueError(f"{key.replace('_', '-')} must be finite and positive, got {cfg[key]}")
+        if not isinstance(value, str):
+            numbers = value if isinstance(value, list) else [value]
+            if not numbers:
+                raise ValueError(f"{flag} needs at least one value")
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{flag} must be finite, got {value}")
+        for test, text in _OPTIONS[key].rules:
+            if not test(value):
+                raise ValueError(f"{flag} {text}, got {value}")
     if "fz_min" in cfg and not cfg["fz_min"] < cfg["fz_max"]:
         raise ValueError(f"fz-min must be below fz-max, got {cfg['fz_min']} and {cfg['fz_max']}")
     for lo, hi in (("fz_min", "fz_max"), ("f_min", "f_max")):
         if lo in cfg and not math.isfinite(cfg[hi] - cfg[lo]):
             raise ValueError(f"the width of the field range must be finite, got {cfg[lo]} to {cfg[hi]}")
-    if "s1z_max" in cfg and not 0.0 < cfg["s1z_max"] < 1.0:
-        raise ValueError(f"s1z-max must lie strictly between 0 and 1, got {cfg['s1z_max']}")
-    if "lambdas" in cfg and not all(0.0 < lam < 1.0 for lam in cfg["lambdas"]):
-        raise ValueError(f"lambdas must lie strictly between 0 and 1, got {cfg['lambdas']}")
-    if "fz_list" in cfg and len(cfg["fz_list"]) < 2:
-        raise ValueError(f"fz-list needs at least two fields to show a decay, got {cfg['fz_list']}")
-    fz_list = cfg.get("fz_list", [])
-    if not all(abs(a) < abs(b) for a, b in zip(fz_list, fz_list[1:])):
-        raise ValueError(f"fz-list must grow strictly in |Fz| to show a decay, got {cfg['fz_list']}")
+    if "f_min" in cfg and cfg["f_min"] == cfg["f_max"]:
+        raise ValueError(f"f-min and f-max must differ, or every test mixes a state with itself, got {cfg['f_min']}")
     if "fz_grid" in cfg and cfg["prep"] != "mori":
         if len(cfg["fz_grid"]) < 5:
             raise ValueError(f"fz-grid needs at least five fields for the affine fit, got {cfg['fz_grid']}")
@@ -228,11 +275,6 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"fz-grid needs at least two distinct fields for the affine fit, got {cfg['fz_grid']}")
     if cfg.get("prep") == "factorize-and-wait" and not cfg["t0"] > 0.0:
         raise ValueError(f"t0 must be positive for factorize-and-wait, got {cfg['t0']}")
-    for key, least in (("samples", 2), ("f_steps", 2), ("points", 3), ("steps", 2)):
-        if key in cfg and cfg[key] < least:
-            raise ValueError(f"{key.replace('_', '-')} must be at least {least}, got {cfg[key]}")
-    if "f_min" in cfg and cfg["f_min"] == cfg["f_max"]:
-        raise ValueError(f"f-min and f-max must differ, or every test mixes a state with itself, got {cfg['f_min']}")
     return cfg
 
 
@@ -386,71 +428,35 @@ def _run_pechukas(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Chec
 
 
 class _Subcommand:
-    """A subcommand's runner, its CSV header and its option schema."""
+    """A subcommand's runner, its CSV header, its flags (keys of _OPTIONS)
+    and its --beta-g default, the one default that differs between
+    subcommands."""
 
-    def __init__(self, run: Callable, header: tuple[str, ...], **options):
+    def __init__(self, run: Callable, header: tuple[str, ...], beta_g: list[float], *options: str):
         self.run = run  # (cfg, model) -> (rows, checks) of one coupling
         self.header = header
-        self.options = {**_COMMON, **options}  # name -> (converter, default)
+        self.beta_g = beta_g
+        self.options = ("beta_e", "tolerance_scale", "beta_g", *options)
+
+    def default(self, key: str):
+        return self.beta_g if key == "beta_g" else _OPTIONS[key].default
 
 
 _SUBCOMMANDS = {
-    "sweep-bloch": _Subcommand(
-        _run_sweep_bloch,
-        ("beta_g", "beta_Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz"),
-        beta_g=(_parse_float_list, [0.5, 1.0, 1.5]),
-        fz_min=(float, -5.0),
-        fz_max=(float, 5.0),
-        steps=(int, 201),
-    ),
-    "sweep-linearity": _Subcommand(
-        _run_sweep_linearity,
-        ("beta_g", "S1z", "S2z", "Cxx", "Cyy", "Czz"),
-        beta_g=(_parse_float_list, [0.0, 0.5, 1.0, 1.5]),
-        s1z_max=(float, 0.9),
-        points=(int, 21),
-    ),
-    "convexity": _Subcommand(
-        _run_convexity,
-        ("beta_g", "F1", "F2", "lambda", "F3", "S2_defect", "C_defect"),
-        beta_g=(_parse_float_list, [1.5]),
-        f_min=(float, -2.0),
-        f_max=(float, 2.0),
-        f_steps=(int, 5),
-        lambdas=(_parse_float_list, [0.25, 0.5, 0.75]),
-    ),
-    "affinity": _Subcommand(
-        _run_affinity,
-        ("prep", "beta_e", "beta_g", "defect"),
-        beta_g=(_parse_float_list, [1.5]),
-        prep=(_parse_preparation, "equilibrium"),
-        samples=(int, 5),
-        s1z_max=(float, 0.9),
-        t0=(float, 0.7),
-        lambdas=(_parse_float_list, [0.25, 0.5, 0.75]),
-    ),
-    "evolve": _Subcommand(
-        _run_evolve,
-        ("beta_g", "S1z_in", "Sx_out", "Sy_out", "Sz_out"),
-        beta_g=(_parse_float_list, [1.5]),
-        prep=(_parse_preparation, "equilibrium"),
-        time=(float, 1.0),
-        fz_grid=(_parse_float_list, [-2.0, -1.0, 0.0, 1.0, 2.0]),
-        evolve_fz=(float, 0.0),
-        t0=(float, 0.7),
-    ),
+    "sweep-bloch": _Subcommand(_run_sweep_bloch, ("beta_g", "beta_Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz"),
+                               [0.5, 1.0, 1.5], "fz_min", "fz_max", "steps"),
+    "sweep-linearity": _Subcommand(_run_sweep_linearity, ("beta_g", "S1z", "S2z", "Cxx", "Cyy", "Czz"),
+                                   [0.0, 0.5, 1.0, 1.5], "s1z_max", "points"),
+    "convexity": _Subcommand(_run_convexity, ("beta_g", "F1", "F2", "lambda", "F3", "S2_defect", "C_defect"),
+                             [1.5], "f_min", "f_max", "f_steps", "lambdas"),
+    "affinity": _Subcommand(_run_affinity, ("prep", "beta_e", "beta_g", "defect"),
+                            [1.5], "prep", "samples", "s1z_max", "t0", "lambdas"),
+    "evolve": _Subcommand(_run_evolve, ("beta_g", "S1z_in", "Sx_out", "Sy_out", "Sz_out"),
+                          [1.5], "prep", "time", "fz_grid", "evolve_fz", "t0"),
     "mori-check": _Subcommand(
-        _run_mori_check,
-        ("beta_g", "chi", "finite_difference", "residual_02", "residual_01", "ratio"),
-        beta_g=(_parse_float_list, [1.0]),
-        fd_step=(float, 1e-4),
+        _run_mori_check, ("beta_g", "chi", "finite_difference", "residual_02", "residual_01", "ratio"), [1.0], "fd_step"
     ),
-    "pechukas": _Subcommand(
-        _run_pechukas,
-        ("beta_g", "beta_Fz", "residual"),
-        beta_g=(_parse_float_list, [1.0]),
-        fz_list=(_parse_float_list, [4.0, 6.0, 8.0]),
-    ),
+    "pechukas": _Subcommand(_run_pechukas, ("beta_g", "beta_Fz", "residual"), [1.0], "fz_list"),
 }
 
 
@@ -466,24 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-spin preparation classes, blow-up maps, and reduced-dynamics checks",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    flag_help = {
-        "beta_e": "beta*e, environment-spin splitting (default 1)",
-        "beta_g": "comma-separated beta*g couplings",
-        "tolerance_scale": "multiply every scaled threshold (default 1)",
-        "prep": "preparation: " + ", ".join(_PREPARATIONS),
-        "s1z_max": f"half-width of the S1z grid or targets (default 0.9); --prep mori ignores it and uses {_MORI_S1Z}",
-        "fz_grid": "comma-separated fields that pick the input states; --prep mori reads only how many",
-        "t0": "waiting time of --prep factorize-and-wait (default 0.7); the other preparations ignore it",
-    }
     for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for key in command.options:
-            p.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                default=None,
-                help=flag_help.get(key, ""),
-            )
+            option = _OPTIONS[key]
+            note = f"; {option.note}" if option.note else ""
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           help=f"{option.help} (default {_show(command.default(key))}){note}")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         p.add_argument("--config", default=None, help="key=value config file; flags override")
     return parser

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
 from spinprep import ModelParams, equilibrium_observables, invert_field
-from spinprep.cli import _THRESHOLDS, _csv_rows, _fmt, _write_csv, main
+from spinprep.cli import _OPTIONS, _SUBCOMMANDS, _THRESHOLDS, _csv_rows, _fmt, _write_csv, main
 
 
 def run(capsys, *argv):
@@ -484,7 +485,8 @@ def _floor_probe(key, out):
 FLAG_HELP = {
     "s1z_max": "--s1z-max S1Z_MAX half-width of the S1z grid or targets (default 0.9); "
     "--prep mori ignores it and uses 0.05",
-    "fz_grid": "--fz-grid FZ_GRID comma-separated fields that pick the input states; --prep mori reads only how many",
+    "fz_grid": "--fz-grid FZ_GRID comma-separated fields that pick the input states (default -2,-1,0,1,2); "
+    "--prep mori reads only how many",
     "t0": "--t0 T0 waiting time of --prep factorize-and-wait (default 0.7); the other preparations ignore it",
 }
 
@@ -991,3 +993,114 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as err:
             main(["not-a-subcommand"])
         assert err.value.code == 2
+
+
+def _shown(value):
+    # a default as --help prints it: each number in %g, a list comma-separated
+    if isinstance(value, list):
+        return ",".join(format(v, "g") for v in value)
+    return format(value, "g") if isinstance(value, float) else str(value)
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "subcommand, key",
+        [(name, key) for name, command in _SUBCOMMANDS.items() for key in command.options],
+        ids=lambda value: value.replace("_", "-"),
+    )
+    def test_every_flag_prints_its_help_and_default(self, capsys, subcommand, key):
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand, "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        # a flag's help runs from its name and metavar to the next flag's
+        flag = key.replace("_", "-")
+        match = re.search(rf" --{flag} {key.upper()} (.*?) --[a-z0-9-]+ [A-Z0-9_]+ ", help_text)
+        assert match, f"--{flag} prints no help"
+        line = match.group(1)
+        default = _SUBCOMMANDS[subcommand].beta_g if key == "beta_g" else _OPTIONS[key].default
+        assert f"(default {_shown(default)})" in line
+        assert line != f"(default {_shown(default)})", "no help besides the default"
+
+    def test_every_flag_is_the_one_readme_tables(self):
+        # README's flags table: subcommands, default and own rules of each flag
+        every = tuple(_SUBCOMMANDS)
+        fraction = ("must lie strictly between 0 and 1",)
+        documented = {
+            "beta_e": (every, 1.0, ()),
+            "tolerance_scale": (every, 1.0, ("must be finite and positive",)),
+            "beta_g": (every, None, ("lists a coupling more than once",)),
+            "fz_min": (("sweep-bloch",), -5.0, ()),
+            "fz_max": (("sweep-bloch",), 5.0, ()),
+            "steps": (("sweep-bloch",), 201, ("must be at least 2",)),
+            "s1z_max": (("sweep-linearity", "affinity"), 0.9, fraction),
+            "points": (("sweep-linearity",), 21, ("must be at least 3",)),
+            "f_min": (("convexity",), -2.0, ()),
+            "f_max": (("convexity",), 2.0, ()),
+            "f_steps": (("convexity",), 5, ("must be at least 2",)),
+            "lambdas": (("convexity", "affinity"), [0.25, 0.5, 0.75], fraction),
+            "prep": (("affinity", "evolve"), "equilibrium", ()),
+            "samples": (("affinity",), 5, ("must be at least 2",)),
+            "t0": (("affinity", "evolve"), 0.7, ()),
+            "time": (("evolve",), 1.0, ()),
+            "fz_grid": (("evolve",), [-2.0, -1.0, 0.0, 1.0, 2.0], ()),
+            "evolve_fz": (("evolve",), 0.0, ()),
+            "fd_step": (("mori-check",), 1e-4, ("must be finite and positive",)),
+            "fz_list": (
+                ("pechukas",),
+                [4.0, 6.0, 8.0],
+                ("needs at least two fields to show a decay", "must grow strictly in |Fz| to show a decay"),
+            ),
+        }
+        tabled = {
+            key: (
+                tuple(name for name, command in _SUBCOMMANDS.items() if key in command.options),
+                option.default,
+                tuple(text for _, text in option.rules),
+            )
+            for key, option in _OPTIONS.items()
+        }
+        assert tabled == documented
+        beta_g = {name: command.beta_g for name, command in _SUBCOMMANDS.items()}
+        assert beta_g == {
+            "sweep-bloch": [0.5, 1.0, 1.5],
+            "sweep-linearity": [0.0, 0.5, 1.0, 1.5],
+            "convexity": [1.5],
+            "affinity": [1.5],
+            "evolve": [1.5],
+            "mori-check": [1.0],
+            "pechukas": [1.0],
+        }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "subcommand, key, text, expected",
+        [
+            ("sweep-bloch", "steps", "2.5", "must be an integer"),
+            ("affinity", "samples", "five", "must be an integer"),
+            ("sweep-bloch", "beta_e", "abc", "must be a number"),
+            ("mori-check", "fd_step", "1e-4x", "must be a number"),
+            ("pechukas", "fz_list", "4,x,8", "must be a comma-separated list of numbers"),
+            ("sweep-linearity", "beta_g", "0;1", "must be a comma-separated list of numbers"),
+            (
+                "evolve",
+                "prep",
+                "bogus",
+                "names an unknown preparation, expected one of equilibrium, factorizing, mori, factorize-and-wait",
+            ),
+        ],
+    )
+    def test_a_value_that_does_not_convert_names_its_flag(
+        self, capsys, tmp_path, source, subcommand, key, text, expected
+    ):
+        flag = key.replace("_", "-")
+        if source == "flag":
+            argv = (subcommand, f"--{flag}={text}")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag}={text}\n")
+            argv = (subcommand, "--config", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"spinprep: configuration error: {flag} {expected}, got {text!r}\n"

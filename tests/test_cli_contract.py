@@ -1,6 +1,7 @@
 """The exit-code contract of the CLI under generated argument vectors.
 
-Each argv is drawn from a subcommand's option schema in cli._SUBCOMMANDS.
+Each argv is drawn from a subcommand's flags in cli._SUBCOMMANDS, each
+through its converter in cli._OPTIONS.
 A flag is either left at its default or set: a number to +-1e308, 1e-308,
 5e-324, 0, -0 or an ordinary value, a list to one to three of them
 (repeats included), --prep to any preparation, and a size (--steps,
@@ -16,7 +17,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinprep.cli import _PREPARATIONS, _SUBCOMMANDS, _parse_float_list, _parse_preparation, main
+from spinprep.cli import _OPTIONS, _PREPARATIONS, _SUBCOMMANDS, _parse_float_list, _parse_preparation, main
 
 # half of the numbers are +-1e308: an overflow needs two of them in one argv
 NUMBERS = st.one_of(
@@ -28,7 +29,8 @@ NUMBERS = st.one_of(
 SIZE_CAPS = {"steps": 40, "points": 12, "samples": 6, "f_steps": 4}
 
 
-def _value(key, convert):
+def _value(key):
+    convert = _OPTIONS[key].convert
     if convert is _parse_preparation:
         return st.sampled_from(list(_PREPARATIONS))
     if convert is _parse_float_list:
@@ -40,10 +42,7 @@ def _value(key, convert):
 
 def _argvs(name, options):
     # each flag is left out (None, its default) or set, half the time each
-    flags = [
-        st.one_of(st.none(), _value(key, convert).map(f"--{key.replace('_', '-')}={{}}".format))
-        for key, (convert, _) in options.items()
-    ]
+    flags = [st.one_of(st.none(), _value(key).map(f"--{key.replace('_', '-')}={{}}".format)) for key in options]
     return st.tuples(*flags).map(lambda drawn: [name, *(f for f in drawn if f is not None)])
 
 
