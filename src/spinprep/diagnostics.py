@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, PreparationDomainError
+from .errors import DomainError, PreparationDomainError, ValidationError
 from .linalg import kron, partial_trace
 from .model import EquilibriumCurvePoint, ModelParams, equilibrium_observables
 from .prepare import invert_field
@@ -142,6 +142,8 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
     operators whose pairwise convex combinations must also lie in the map's
     domain.  Returns the maximum Frobenius-norm defect over all pairs and
     mixing weights; zero (to roundoff) iff the map is affine on the sample.
+    A defect that is not finite raises ValidationError naming its pair and
+    weight: the maximum would drop a NaN.
     """
     samples = list(domain_samples)
     lambdas = list(lambdas)
@@ -161,7 +163,12 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
                     f"of samples {i} and {j}: {err}"
                 ) from err
             diff = image - lam * images[i] - (1.0 - lam) * images[j]
-            worst = max(worst, math.sqrt(np.vdot(diff, diff).real))  # Frobenius norm
+            defect = math.sqrt(np.vdot(diff, diff).real)  # Frobenius norm
+            if not math.isfinite(defect):
+                raise ValidationError(
+                    f"affinity defect is {defect} at lambda={lam} of samples {i} and {j}"
+                )
+            worst = max(worst, defect)
     return worst
 
 

@@ -40,30 +40,27 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_within_tol(defect: float, scale: float) -> bool:
-    """Whether a Hermiticity defect is <= 1e-12 * (1 + scale), scale = max|a|.
-
-    A NaN defect or scale fails the check.
-    """
+    """Whether a Hermiticity defect is <= 1e-12 * (1 + max|a|); a NaN fails."""
     return defect <= HERMITICITY_RTOL * (1.0 + scale)
 
 
-def _hermiticity(a: np.ndarray) -> tuple[float, bool]:
-    """The Hermiticity defect of a and whether it is <= 1e-12 * (1 + max|a|).
+def _hermiticity(a: np.ndarray) -> tuple[float, float]:
+    """The Hermiticity defect max|A - A^dagger| of a and its scale max|A|.
 
-    A non-finite entry makes the defect NaN, and the check fails; the
-    difference A - A^dagger is then not formed (inf - inf would warn).  A
-    finite difference beyond the largest double reads inf, with no warning.
+    A non-finite scale (a NaN or inf entry, or a modulus beyond the largest
+    double) makes the defect NaN, and the difference A - A^dagger is then
+    not formed (inf - inf would warn).  A finite difference beyond the
+    largest double reads inf, with no warning.
     """
     scale = float(np.abs(a).max())
     if not math.isfinite(scale):
-        return math.nan, False
+        return math.nan, scale
     with np.errstate(over="ignore"):
-        defect = float(np.abs(a - dag(a)).max())
-    return defect, _hermitian_within_tol(defect, scale)
+        return float(np.abs(a - dag(a)).max()), scale
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return _hermiticity(as_operator(a))[1]
+    return _hermitian_within_tol(*_hermiticity(as_operator(a)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -114,8 +111,8 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     runs are bit-identical.
     """
     a = as_operator(a)
-    defect, hermitian = _hermiticity(a)
-    if not hermitian:
+    defect, scale = _hermiticity(a)
+    if not _hermitian_within_tol(defect, scale):
         raise ValidationError(
             f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|A|)"
@@ -147,75 +144,69 @@ class DensityReport(NamedTuple):
     ok: bool
 
 
+def _half_sum(x: float, y: float) -> float:
+    """(x + y)/2, halved before the sum only where the sum overflows
+    (halving first may round away the last bit of a subnormal)."""
+    s = x + y
+    return 0.5 * s if abs(s) < math.inf else 0.5 * x + 0.5 * y
+
+
 def validate_density(rho) -> DensityReport:
     """Check the density-matrix conditions: Hermitian, unit trace, positive.
 
     Pass thresholds: Hermiticity defect <= 1e-12 * (1 + max|rho|), trace
     within 1e-10 of one, smallest eigenvalue >= -1e-10.  The eigenvalue is
-    computed from the Hermitian part, so a report is produced even for badly
-    non-Hermitian input.  A complex ndarray is read as is (the checkers that
-    call this have coerced it already), so that it is coerced once; any
-    other input goes through as_operator first.
+    that of the Hermitian part, halved before the sum where the sum would
+    overflow, so a report is produced even for badly non-Hermitian input.
+    At every size, a non-finite max|rho| (a NaN or inf part, or a modulus
+    beyond the largest double) reads NaN in all three fields, not ok.
+    A complex ndarray is read as is (the checkers that call this have
+    coerced it already), so that it is coerced once; any other input goes
+    through as_operator first.
 
     A qubit (2x2) state is checked in closed form, as straight-line float
     arithmetic on the eight real parts of its entries, with no eigensolver:
     its Hermitian part has diagonal p, q and off-diagonal h, so its smallest
-    eigenvalue is (p + q)/2 - hypot((p - q)/2, |h|).  Each report field is
-    the entrywise IEEE arithmetic of the complex formulas, bit for bit, so a
-    non-finite entry reads as that arithmetic reads it: an inf*j diagonal
-    entry gives a Hermiticity defect of inf (|inf*j - conj(inf*j)|), a real
-    +-inf diagonal entry gives NaN (inf - inf), and any non-finite entry
-    gives min_eigenvalue NaN (not ok).
-
-    Larger inputs go through LAPACK ``eigvalsh``; there any non-finite entry
-    reads NaN in all three fields (not ok).
+    eigenvalue is (p + q)/2 - hypot((p - q)/2, |h|).  Larger inputs go
+    through LAPACK ``eigvalsh``.
     """
     if not (type(rho) is np.ndarray and rho.dtype == complex):
         rho = as_operator(rho)
-    if rho.shape != (2, 2):
-        return _eigvalsh_report(_square(rho))
-    (a, b), (c, d) = rho.tolist()
-    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
-    # every modulus |z| is hypot(z.real, z.imag): abs(complex) raises
-    # OverflowError where hypot returns inf
-    hypot = math.hypot
-    # x - x is +0.0 for a finite x and NaN otherwise
-    za, zd = ar - ar, dr - dr
-    # the entrywise max |rho - rho^dagger|, z - conj(w) being
-    # (z.real - w.real, z.imag + w.imag); (1, 0) mirrors (0, 1).  NaN when any
-    # gap is NaN, as numpy's max on the larger path
-    gap_a, gap_b, gap_d = hypot(za, ai + ai), hypot(br - cr, bi + ci), hypot(zd, di + di)
-    h_defect = math.nan if math.isnan(gap_a + gap_b + gap_d) else max(gap_a, gap_b, gap_d)
-    scale = max(hypot(ar, ai), hypot(br, bi), hypot(cr, ci), hypot(dr, di))
-    t_defect = hypot(ar + dr - 1.0, ai + di)
-    # p = ar, q = dr and h = (b + conj(c))/2 = 0.5 * (hr, hi) as the complex
-    # product of 0.5 + 0j and (hr, hi): each part carries 0.0 times the
-    # other, so an h with both parts overflowed reads NaN
-    hr, hi = br + cr, bi - ci
-    h = hypot(0.5 * hr - 0.0 * hi, 0.5 * hi + 0.0 * hr)
-    # subtracting the +0.0 of a finite input leaves the eigenvalue as it is,
-    # signed zero included, and a NaN from any non-finite part makes it NaN
-    nonfinite = za + zd + (ai - ai) + (di - di) + (br - br) + (bi - bi) + (cr - cr) + (ci - ci)
-    min_eig = 0.5 * (ar + dr) - hypot(0.5 * (ar - dr), h) - nonfinite
+    qubit = rho.shape == (2, 2)
+    if qubit:
+        (a, b), (c, d) = rho.tolist()
+        ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+        # every modulus |z| is hypot(z.real, z.imag), as is the trace defect
+        # below: abs(complex) raises OverflowError where hypot returns inf
+        hypot = math.hypot
+        ma, mb, mc, md = hypot(ar, ai), hypot(br, bi), hypot(cr, ci), hypot(dr, di)
+        # a NaN modulus fails every comparison, where max() may pass over it
+        finite = ma < math.inf and mb < math.inf and mc < math.inf and md < math.inf
+        scale = max(ma, mb, mc, md) if finite else math.nan
+        # the entrywise max |rho - rho^dagger|, z - conj(w) being
+        # (z.real - w.real, z.imag + w.imag); (1, 0) mirrors (0, 1)
+        h_defect = max(abs(ai + ai), hypot(br - cr, bi + ci), abs(di + di))
+    else:
+        h_defect, scale = _hermiticity(_square(rho))
+    if not math.isfinite(scale):
+        # LAPACK rejects a non-finite entry, and numpy's trace would warn
+        return DensityReport._make((math.nan, math.nan, math.nan, False))
+    if qubit:
+        t_re, t_im = ar + dr, ai + di
+        # p = ar, q = dr and h = (b + conj(c))/2
+        h = hypot(_half_sum(br, cr), _half_sum(bi, -ci))
+        min_eig = _half_sum(ar, dr) - hypot(_half_sum(ar, -dr), h)
+    else:
+        trace = complex(rho.trace())
+        t_re, t_im = trace.real, trace.imag
+        min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
+    t_defect = math.hypot(t_re - 1.0, t_im)
     ok = (
         _hermitian_within_tol(h_defect, scale)
         and t_defect <= DENSITY_TRACE_ATOL
         and min_eig >= DENSITY_EIG_FLOOR
     )
     # _make takes the one tuple as is, past the keyword handling of __new__
-    return DensityReport._make((h_defect, t_defect, min_eig, ok))
-
-
-def _eigvalsh_report(rho: np.ndarray) -> DensityReport:
-    """validate_density of an operator larger than 2x2, through LAPACK."""
-    h_defect, hermitian = _hermiticity(rho)
-    if math.isnan(h_defect):
-        # a non-finite entry: LAPACK rejects it, and the report comes back not ok
-        return DensityReport._make((h_defect, math.nan, math.nan, False))
-    t_defect = abs(complex(rho.trace()) - 1.0)
-    # halved before the sum, which cannot overflow for finite entries
-    min_eig = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * dag(rho))[0])
-    ok = hermitian and t_defect <= DENSITY_TRACE_ATOL and min_eig >= DENSITY_EIG_FLOOR
     return DensityReport._make((h_defect, t_defect, min_eig, ok))
 
 

@@ -264,6 +264,6 @@ def reduced_from_bloch(s1) -> np.ndarray:
     if s1.shape != (3,):
         raise DimensionError(f"expected a 3-vector, got shape {s1.shape}")
     norm = float(np.linalg.norm(s1))
-    if norm > 1.0 + 1e-10:
+    if not norm <= 1.0 + 1e-10:  # a NaN norm fails too
         raise DomainError(f"|s1| = {norm} exceeds 1: not a state")
     return reduced_from_bloch_unchecked(s1)

@@ -7,6 +7,7 @@ from spinprep import (
     Equilibrium,
     MoriLinearResponse,
     PreparationDomainError,
+    ValidationError,
     affinity_defect,
     blow_up,
     chebyshev_targets,
@@ -241,6 +242,19 @@ class TestAffinityDefect:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             affinity_defect(lambda r: r, [z_state(0.1), z_state(-0.1)], [1.5])
+
+    @pytest.mark.parametrize("mixtures_only", [False, True], ids=["every-image", "mixtures-only"])
+    def test_non_finite_defect_is_an_error(self, mixtures_only):
+        # max(worst, nan) keeps worst: a NaN defect must not read as affine
+        samples = [z_state(0.9), z_state(-0.9)]
+
+        def nan_map(rho):
+            if mixtures_only and abs(rho[0, 0].real - 0.5) > 0.4:
+                return rho
+            return np.full((2, 2), np.nan)
+
+        with pytest.raises(ValidationError, match=r"lambda=0\.5 of samples 0 and 1"):
+            affinity_defect(nan_map, samples, [0.5])
 
 
 class TestFactorizationResidual:

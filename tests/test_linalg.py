@@ -152,12 +152,7 @@ class TestHermEig:
         a[0, 0] = entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            defect = validate_density(a).hermiticity_defect
-            if n == 2 and entry == complex(0.0, np.inf):
-                # the qubit closed form reads |inf*j - conj(inf*j)| as inf
-                assert not defect < math.inf
-            else:
-                assert math.isnan(defect)
+            assert math.isnan(validate_density(a).hermiticity_defect)
             assert not is_hermitian(a)
             with pytest.raises(ValidationError):
                 herm_eig(a)
@@ -242,18 +237,56 @@ class TestValidateDensity:
         # report-style also for non-finite input: no exception, not ok
         assert not validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]])).ok
 
-    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (3, 0)])
-    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(np.inf, np.inf), np.nan])
-    def test_non_finite_two_qubit_input_is_not_ok_without_warning(self, index, entry):
-        # a 4x4 report with a non-finite entry: NaN defects and eigenvalue, not ok
-        rho = np.eye(4, dtype=complex) / 4
+    @pytest.mark.parametrize(
+        "n, index", [(2, (0, 0)), (2, (0, 1)), (2, (1, 1)), (4, (0, 0)), (4, (1, 2)), (4, (3, 0))]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            np.inf,
+            -np.inf,
+            complex(0.0, np.inf),
+            complex(np.inf, np.inf),
+            np.nan,
+            complex(0.0, np.nan),
+            # finite parts whose modulus is beyond the largest double
+            1.5e308 + 1.5e308j,
+        ],
+    )
+    def test_non_finite_input_reads_nan_without_warning(self, n, index, entry):
+        # one rule at every size: a non-finite max|rho| reads NaN in all
+        # three fields, not ok
+        rho = np.eye(n, dtype=complex) / n
         rho[index] = entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = validate_density(rho)
         assert not report.ok
         assert math.isnan(report.hermiticity_defect)
+        assert math.isnan(report.trace_defect)
         assert math.isnan(report.min_eigenvalue)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_trace_beyond_the_largest_double_reads_inf(self, n):
+        # finite moduli whose trace |1.3e308 (1 + j) - 1| is beyond the
+        # largest double: an inf trace defect, no OverflowError
+        rho = np.zeros((n, n), dtype=complex)
+        rho[0, 0], rho[1, 1] = 1.3e308, 1.3e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density(rho)
+        assert report.trace_defect == math.inf
+        assert not report.ok
+
+    def test_overflowing_hermitian_part_reads_its_true_eigenvalue(self):
+        # b + conj(c) = 2e308 (1 - j) overflows; halved first, h = 1e308 (1 - j)
+        rho = np.array([[0.5, 1e308 - 1e308j], [1e308 + 1e308j, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density(rho)
+        assert report.min_eigenvalue == 0.5 - math.hypot(1e308, 1e308)
+        assert report.hermiticity_defect == 0.0
+        assert not report.ok
 
     def test_overflowing_hermiticity_defect_reads_inf_without_warning(self):
         # finite entries whose gap |rho - rho^dagger| is beyond the largest double
@@ -268,23 +301,6 @@ class TestValidateDensity:
         assert not report.ok
         assert report.min_eigenvalue == -1e308
 
-    @pytest.mark.parametrize(
-        "rho",
-        [
-            [[np.nan, 0.0], [0.0, 1.0]],
-            [[0.5, np.inf], [0.0, 0.5]],
-            [[0.5, complex(0.0, np.nan)], [0.0, 0.5]],
-            # finite entries whose moduli (and gaps) are beyond the largest double
-            [[0.5, 1.5e308 + 1.5e308j], [-1.5e308 - 1.5e308j, 0.5]],
-        ],
-    )
-    def test_non_finite_qubit_input_is_not_ok_without_warning(self, rho):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = validate_density(np.array(rho, dtype=complex))
-        assert not report.ok
-        assert not report.hermiticity_defect < math.inf
-
     def test_finite_hermiticity_defect_is_the_entrywise_maximum(self, rng):
         for scale in (1e-300, 1.0, 1e300):
             a = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -293,15 +309,16 @@ class TestValidateDensity:
     @staticmethod
     def _reference(rho):
         # the generic definitions: entrywise |rho - rho^dagger| (as hypot),
-        # |tr rho - 1| and LAPACK's smallest eigenvalue of the Hermitian part
-        with np.errstate(invalid="ignore"):
-            gap = rho - rho.conj().T
-            herm = 0.5 * (rho + rho.conj().T)
-        finite = bool(np.isfinite(rho).all())
+        # |tr rho - 1| and LAPACK's smallest eigenvalue of the Hermitian part,
+        # halved before the sum; all NaN where max|rho| is not finite
+        if not np.isfinite(np.abs(rho)).all():
+            return math.nan, math.nan, math.nan
+        gap = rho - rho.conj().T
+        herm = 0.5 * rho + 0.5 * rho.conj().T
         return (
             float(np.hypot(gap.real, gap.imag).max()),
             abs(complex(np.trace(rho)) - 1.0),
-            float(np.linalg.eigvalsh(herm)[0]) if finite else math.nan,
+            float(np.linalg.eigvalsh(herm)[0]),
         )
 
     @staticmethod
@@ -335,11 +352,11 @@ class TestValidateDensity:
             # equal, NaN included
             assert np.array_equal(report.hermiticity_defect, h_defect, equal_nan=True), name
             assert np.array_equal(report.trace_defect, t_defect, equal_nan=True), name
-            if np.isfinite(rho).all():
+            if math.isnan(min_eig):
+                assert math.isnan(report.min_eigenvalue), name
+            else:
                 tol = 1e-15 * (1.0 + float(np.abs(rho).max()))
                 assert abs(report.min_eigenvalue - min_eig) <= tol, name
-            else:
-                assert math.isnan(report.min_eigenvalue), name
             ok = (
                 h_defect <= 1e-12 * (1.0 + float(np.abs(rho).max()))
                 and t_defect <= 1e-10
@@ -349,27 +366,28 @@ class TestValidateDensity:
 
     @staticmethod
     def _complex_closed_form(rho):
-        # the qubit closed form in complex arithmetic, as validate_density
-        # computed it before the straight-line float form: (defects, min
-        # eigenvalue, ok); the float form must give the same bits
+        # the qubit closed form in complex arithmetic: (defects, min
+        # eigenvalue, ok); the float form must give the same bits.  A
+        # non-finite modulus reads NaN in all three fields, and each half-sum
+        # is halved before the sum where the sum overflows
         (a, b), (c, d) = np.asarray(rho, dtype=complex).tolist()
         hypot = math.hypot
+        moduli = [hypot(z.real, z.imag) for z in (a, b, c, d)]
+        if not all(map(math.isfinite, moduli)):
+            return (math.nan, math.nan, math.nan), False
+
+        def half_sum(z, w):
+            s = z + w
+            return 0.5 * s if cmath.isfinite(s) else 0.5 * z + 0.5 * w
+
         ga, gb, gd = a - a.conjugate(), b - c.conjugate(), d - d.conjugate()
-        gaps = (hypot(ga.real, ga.imag), hypot(gb.real, gb.imag), hypot(gd.real, gd.imag))
-        h_defect = math.nan if math.isnan(sum(gaps)) else max(gaps)
-        scale = max(hypot(a.real, a.imag), hypot(b.real, b.imag))
-        scale = max(scale, hypot(c.real, c.imag), hypot(d.real, d.imag))
+        h_defect = max(hypot(ga.real, ga.imag), hypot(gb.real, gb.imag), hypot(gd.real, gd.imag))
         trace = a + d
         t_defect = hypot(trace.real - 1.0, trace.imag)
-        if all(map(cmath.isfinite, (a, b, c, d))):
-            p, q = a.real, d.real
-            # complex(0.5) * z is what 0.5 * z computes up to Python 3.13: a
-            # complex product, in which 0.0 * inf makes an overflowed h NaN
-            h = complex(0.5) * (b + c.conjugate())
-            min_eig = 0.5 * (p + q) - hypot(0.5 * (p - q), hypot(h.real, h.imag))
-        else:
-            min_eig = math.nan
-        ok = h_defect <= 1e-12 * (1.0 + scale) and t_defect <= 1e-10 and min_eig >= -1e-10
+        p, q = a.real, d.real
+        h = half_sum(b, c.conjugate())
+        min_eig = half_sum(p, q) - hypot(half_sum(p, -q), hypot(h.real, h.imag))
+        ok = h_defect <= 1e-12 * (1.0 + max(moduli)) and t_defect <= 1e-10 and min_eig >= -1e-10
         return (h_defect, t_defect, min_eig), ok
 
     @classmethod
@@ -389,6 +407,11 @@ class TestValidateDensity:
         cases["overflowing-trace"] = np.array([[big, 0.0], [0.0, big]], dtype=complex)
         cases["overflowing-diagonal-difference"] = np.array([[big, big], [big, -big]], dtype=complex)
         cases["overflowing-hermitian-part"] = np.array([[0.5, big - big * 1j], [big + big * 1j, 0.5]])
+        # subnormal parts, whose half-sums are summed first: halving 5e-324
+        # first would round it to zero
+        tiny = 5e-324
+        cases["subnormal-diagonal"] = np.array([[tiny, 0.0], [0.0, tiny]], dtype=complex)
+        cases["subnormal-offdiagonal"] = np.array([[0.0, tiny + tiny * 1j], [tiny - tiny * 1j, 0.0]])
         # signed zeros in every part
         for k in range(16):
             signs = [-1.0 if k >> bit & 1 else 1.0 for bit in range(4)]

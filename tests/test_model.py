@@ -457,6 +457,11 @@ class TestBloch:
         with pytest.raises(DomainError):
             reduced_from_bloch(np.array([0.8, 0.8, 0.8]))
 
+    @pytest.mark.parametrize("s1", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.inf]], ids=["nan", "inf"])
+    def test_reduced_from_bloch_rejects_a_non_finite_vector(self, s1):
+        with pytest.raises(DomainError):
+            reduced_from_bloch(np.array(s1))
+
     def test_reduction_consistent_with_decomposition(self, rng):
         for _ in range(20):
             rho = random_density(rng, 4)
