@@ -22,8 +22,7 @@ from .errors import (
     DomainError,
     ExtrapolationWarning,
     InsufficientSpanError,
-    NonInvertiblePropagatorError,
-    NonInvertibleSusceptibilityError,
+    NonInvertibleError,
     PreparationDomainError,
     UnreachableStateError,
     ValidationError,

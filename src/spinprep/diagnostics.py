@@ -143,10 +143,19 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
     domain.  Returns the maximum Frobenius-norm defect over all pairs and
     mixing weights; zero (to roundoff) iff the map is affine on the sample.
     A defect that is not finite raises ValidationError naming its pair and
-    weight: the maximum would drop a NaN.
+    weight: the maximum would drop a NaN.  A test that mixes nothing (fewer
+    than 2 samples, no weight, or every sample the same state) raises
+    ValueError: its maximum over no mixture would read 0.0, as if affine.
     """
     samples = list(domain_samples)
     lambdas = list(lambdas)
+    if len(samples) < 2 or not lambdas:
+        raise ValueError(
+            "affinity test needs at least 2 samples and 1 mixing weight, "
+            f"got {len(samples)} and {len(lambdas)}"
+        )
+    if all(np.array_equal(s, samples[0]) for s in samples[1:]):
+        raise ValueError("affinity test needs at least 2 distinct samples")
     for lam in lambdas:
         if not 0.0 < lam < 1.0:
             raise ValueError(f"mixing weights must lie in (0, 1), got {lam}")

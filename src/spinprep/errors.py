@@ -20,21 +20,9 @@ class PreparationDomainError(DomainError):
 class UnreachableStateError(PreparationDomainError):
     """The target Bloch component cannot be produced by any finite field."""
 
-    def __init__(self, message, supremum):
-        super().__init__(message)
-        self.supremum = supremum
 
-
-class NonInvertiblePropagatorError(ValueError):
-    """The Bloch block of a reduced propagator is singular or too ill conditioned to invert."""
-
-    def __init__(self, message, condition_number):
-        super().__init__(message)
-        self.condition_number = condition_number
-
-
-class NonInvertibleSusceptibilityError(ValueError):
-    """The response matrix is singular or too ill conditioned to invert."""
+class NonInvertibleError(ValueError):
+    """A matrix is singular or too ill conditioned to invert (linalg.checked_inverse)."""
 
     def __init__(self, message, condition_number):
         super().__init__(message)

@@ -13,21 +13,14 @@ inverting reduced propagators transparent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InsufficientSpanError,
-    NonInvertiblePropagatorError,
-    ValidationError,
-)
-from .linalg import as_operator, dag, kron, matrix_function, partial_trace, require_density
+from .errors import DimensionError, InsufficientSpanError, ValidationError
+from .linalg import as_operator, checked_inverse, dag, kron, matrix_function
+from .linalg import partial_trace, require_density
 from .model import ID2, PAULIS, qubit_bloch, reduced_from_bloch_unchecked
-
-_PROPAGATOR_MAX_COND = 1e12
 
 
 def propagator(H, t: float) -> np.ndarray:
@@ -103,17 +96,13 @@ def factorizing_propagator(u: np.ndarray, rho_B0) -> ReducedAffineMap:
 
 
 def invert_propagator(G: ReducedAffineMap) -> ReducedAffineMap:
-    """Affine inverse S -> A^-1 (S - b); fails on an ill-conditioned Bloch block.
+    """Affine inverse S -> A^-1 (S - b), with A^-1 from linalg.checked_inverse.
 
+    A Bloch block A that it cannot invert raises NonInvertibleError.
     Reduced propagators are contractions, so the inverse generally is not
     defined on all states; the returned map is exact on G's range.
     """
-    cond = float(np.linalg.cond(G.bloch))
-    if not math.isfinite(cond) or cond > _PROPAGATOR_MAX_COND:
-        raise NonInvertiblePropagatorError(
-            f"Bloch block of the propagator has condition number {cond:.3e}", cond
-        )
-    inv = np.linalg.inv(G.bloch)
+    inv = checked_inverse(G.bloch, "Bloch block of the propagator")
     return ReducedAffineMap(inv, -inv @ G.offset)
 
 

@@ -14,12 +14,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NonInvertibleError, ValidationError
 
 # Structural tolerances, relative where it makes sense at 4x4 double precision.
 HERMITICITY_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
+INVERSE_MAX_COND = 1e12
 
 
 def as_operator(a) -> np.ndarray:
@@ -133,6 +134,18 @@ def matrix_function(a, f: Callable) -> np.ndarray:
     """
     w, v = herm_eig(a)
     return (v * np.asarray(f(w), dtype=complex)) @ dag(v)
+
+
+def checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of a square matrix a, or NonInvertibleError naming what.
+
+    a is inverted only when its 2-norm condition number is finite and at
+    most 1e12; the error carries that condition number.
+    """
+    cond = float(np.linalg.cond(a))
+    if not math.isfinite(cond) or cond > INVERSE_MAX_COND:
+        raise NonInvertibleError(f"{what} is not invertible (condition number {cond:.3e})", cond)
+    return np.linalg.inv(a)
 
 
 class DensityReport(NamedTuple):

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     ExtrapolationWarning,
-    NonInvertibleSusceptibilityError,
     PreparationDomainError,
     UnreachableStateError,
     ValidationError,
@@ -43,6 +42,7 @@ from .evolve import ReducedAffineMap, factorizing_propagator, invert_propagator,
 from .linalg import (
     DensityReport,
     as_operator,
+    checked_inverse,
     dag,
     herm_eig,
     is_hermitian,
@@ -56,8 +56,6 @@ from .model import hamiltonian, qubit_bloch
 
 # How closely a reduced state must sit on a preparation's reachable manifold.
 TRACE_BACK_ATOL = 1e-10
-
-_CHI_MAX_COND = 1e12
 
 # The Mori trust region: a blow-up whose inferred fields reach |beta F_i| above
 # this still evaluates, but emits ExtrapolationWarning.
@@ -126,7 +124,7 @@ class FactorizeAndWait:
 
     Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0)
     once, reads the reduced waiting propagator G off it and inverts G to
-    G_inv; it raises NonInvertiblePropagatorError when G cannot be inverted.
+    G_inv; it raises NonInvertibleError when G cannot be inverted.
     A blow-up checks the pre-wait state sigma0 = G_inv(rho_S) and returns
     u_wait (sigma0 (x) rho_B0) u_wait^dagger.
     """
@@ -169,12 +167,13 @@ class MoriLinearResponse:
 
     Construction computes the zero-field state rho0, its reduced state
     rho0_S, the Kubo operators kubo[j] of the observables and the
-    susceptibility chi once, with chi's symmetry and condition checks; it
-    raises NonInvertibleSusceptibilityError when chi cannot be inverted (for
-    instance for a repeated observable).  It then stores what mori_fields
-    needs per state: chi_inv, the Bloch rows bloch_rows[j] = qubit_bloch(X_j)/2
-    of the observables (tr(X_j delta) = bloch_rows[j] . ds for a traceless
-    Hermitian delta with Bloch vector ds) and s0 = qubit_bloch(rho0_S).
+    susceptibility chi once, with chi's symmetry check, and inverts chi
+    through checked_inverse; it raises NonInvertibleError when chi cannot be
+    inverted (for instance for a repeated observable).  It then stores what
+    mori_fields needs per state: chi_inv, the Bloch rows
+    bloch_rows[j] = qubit_bloch(X_j)/2 of the observables
+    (tr(X_j delta) = bloch_rows[j] . ds for a traceless Hermitian delta with
+    Bloch vector ds) and s0 = qubit_bloch(rho0_S).
     """
 
     model: ModelParams
@@ -200,17 +199,13 @@ class MoriLinearResponse:
         if sym_defect > 1e-10 * (1.0 + float(np.abs(chi).max())):
             raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
         chi = 0.5 * (chi + chi.T)
-        cond = float(np.linalg.cond(chi))
-        if not math.isfinite(cond) or cond > _CHI_MAX_COND:
-            raise NonInvertibleSusceptibilityError(
-                f"susceptibility matrix is not invertible (condition number {cond:.3e})", cond
-            )
+        chi_inv = checked_inverse(chi, "susceptibility matrix")
         rho0_S = partial_trace(rho0, keep=0)
         object.__setattr__(self, "rho0", _frozen(rho0))
         object.__setattr__(self, "rho0_S", _frozen(rho0_S))
         object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
         object.__setattr__(self, "chi", _frozen(chi))
-        object.__setattr__(self, "chi_inv", _frozen(np.linalg.inv(chi)))
+        object.__setattr__(self, "chi_inv", _frozen(chi_inv))
         rows = np.array([0.5 * qubit_bloch(x) for x in self.observables])
         object.__setattr__(self, "bloch_rows", _frozen(rows))
         object.__setattr__(self, "s0", _frozen(qubit_bloch(rho0_S)))
@@ -291,8 +286,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumCurvePoint
     if not abs(target_S1z) < sup:
         raise UnreachableStateError(
             f"target S1z = {target_S1z} is at or beyond the supremum {sup} "
-            "(pure states are reached only asymptotically as Fz -> +-inf)",
-            supremum=sup,
+            "(pure states are reached only asymptotically as Fz -> +-inf)"
         )
     if target_S1z == 0.0:
         return equilibrium_observables(model, 0.0)
@@ -332,8 +326,7 @@ def invert_field(model: ModelParams, target_S1z: float) -> EquilibriumCurvePoint
         if x > cap:
             raise UnreachableStateError(
                 f"target S1z = {target_S1z} needs |Fz| > {cap:.3e}; "
-                f"the supremum {sup} is approached only asymptotically",
-                supremum=sup,
+                f"the supremum {sup} is approached only asymptotically"
             )
     if abs(r) > 1e-12:
         raise RuntimeError(
@@ -401,7 +394,7 @@ def susceptibility(model: ModelParams, observables) -> np.ndarray:
     It is the zero-field chi that MoriLinearResponse(model, observables)
     computes: real symmetric, and positive definite whenever the observables
     are linearly independent and none is conserved; a condition number above
-    1e12 (or a non-finite one) raises NonInvertibleSusceptibilityError.
+    1e12 (or a non-finite one) raises NonInvertibleError.
     """
     return MoriLinearResponse(model, tuple(observables)).chi
 

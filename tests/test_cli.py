@@ -197,6 +197,15 @@ class TestAffinity:
         code, _, _ = run(capsys, "affinity", "--prep", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("prep", ["equilibrium", "factorize-and-wait"])
+    def test_samples_of_one_state_are_an_input_error(self, capsys, prep):
+        # every target of |S1z| <= 1e-17 rounds to the maximally mixed state:
+        # the test would mix a state with itself and read roundoff as affine
+        code, out, err = run(capsys, "affinity", f"--prep={prep}", "--s1z-max=1e-17")
+        assert code == 2
+        assert out == ""
+        assert err == "spinprep: affinity test needs at least 2 distinct samples\n"
+
     def test_mori_ignores_s1z_max(self, capsys):
         # the Mori preparation takes its targets within |S1z| <= 0.05, as its
         # --help says, whatever --s1z-max is
@@ -297,6 +306,18 @@ class TestEvolve:
         assert code == 2
         assert out == ""
         assert err.startswith("spinprep: ") and "not finite" in err
+
+    @pytest.mark.parametrize("subcommand", ["affinity", "evolve"])
+    def test_singular_waiting_propagator_is_an_input_error(self, capsys, tmp_path, subcommand):
+        # H = g sx sx and rho_B0 = 1/2: G = diag(1, cos 2g t0, cos 2g t0),
+        # singular at t0 = pi/4, where no blow-up exists
+        target = tmp_path / "out.csv"
+        argv = (subcommand, "--prep=factorize-and-wait", "--beta-e=0", "--beta-g=1", "--t0=0.7853981633974483")
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert not target.exists()
+        assert err == "spinprep: Bloch block of the propagator is not invertible (condition number 9.007e+15)\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -243,6 +243,18 @@ class TestAffinityDefect:
         with pytest.raises(ValueError):
             affinity_defect(lambda r: r, [z_state(0.1), z_state(-0.1)], [1.5])
 
+    @pytest.mark.parametrize(
+        "samples, lambdas",
+        [([0.6], [0.5]), ([0.6, -0.6], []), ([0.6, 0.6, 0.6], [0.25, 0.5])],
+        ids=["one-sample", "no-weight", "one-state"],
+    )
+    def test_a_test_that_mixes_nothing_is_an_error(self, samples, lambdas):
+        # the coupled equilibrium blow-up is not affine, yet a maximum over no
+        # mixture would read 0.0, the defect of an affine map
+        prep = Equilibrium(MODEL15)
+        with pytest.raises(ValueError, match="^affinity test needs at least 2"):
+            affinity_defect(lambda r: blow_up(prep, r), [z_state(s) for s in samples], lambdas)
+
     @pytest.mark.parametrize("mixtures_only", [False, True], ids=["every-image", "mixtures-only"])
     def test_non_finite_defect_is_an_error(self, mixtures_only):
         # max(worst, nan) keeps worst: a NaN defect must not read as affine

@@ -7,7 +7,7 @@ from spinprep import (
     Factorizing,
     InsufficientSpanError,
     MoriLinearResponse,
-    NonInvertiblePropagatorError,
+    NonInvertibleError,
     ReducedAffineMap,
     ValidationError,
     chebyshev_targets,
@@ -170,11 +170,18 @@ class TestInvertPropagator:
         assert np.abs(composed.bloch - np.eye(3)).max() < 1e-10
         assert np.abs(composed.offset).max() < 1e-10
 
-    def test_singular_map_rejected(self):
-        flat = ReducedAffineMap(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
-        with pytest.raises(NonInvertiblePropagatorError) as err:
+    def test_condition_number_at_most_1e12_inverts(self):
+        inv = invert_propagator(ReducedAffineMap(np.diag([1.0, 1.0, 2e-12]), np.zeros(3)))
+        assert np.array_equal(inv.bloch, np.diag([1.0, 1.0, 5e11]))
+
+    @pytest.mark.parametrize("smallest, cond", [(0.0, np.inf), (1e-13, 1e13)])
+    def test_singular_map_rejected(self, smallest, cond):
+        # the one bound of linalg.checked_inverse: a condition number above
+        # 1e12, or one that is not finite
+        flat = ReducedAffineMap(np.diag([1.0, 1.0, smallest]), np.zeros(3))
+        with pytest.raises(NonInvertibleError, match="^Bloch block of the propagator is not invertible") as err:
             invert_propagator(flat)
-        assert not np.isfinite(err.value.condition_number) or err.value.condition_number > 1e12
+        assert err.value.condition_number == pytest.approx(cond, rel=1e-12)
 
 
 class TestFitAffineMap:

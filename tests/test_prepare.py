@@ -18,7 +18,7 @@ from spinprep import (
     Factorizing,
     FactorizeAndWait,
     MoriLinearResponse,
-    NonInvertibleSusceptibilityError,
+    NonInvertibleError,
     OperatorSandwich,
     PreparationDomainError,
     ReducedAffineMap,
@@ -262,9 +262,8 @@ class TestInvertField:
 
     def test_unreachable_targets(self):
         for target in (1.0, -1.0, 1.2):
-            with pytest.raises(UnreachableStateError) as err:
+            with pytest.raises(UnreachableStateError, match="supremum 1.0"):
                 invert_field(MODEL, target)
-            assert err.value.supremum == 1.0
 
 
 class TestBlowUpEquilibrium:
@@ -501,10 +500,10 @@ class TestSusceptibility:
         assert gap <= Decimal("1e-12"), float(gap)
 
     def test_duplicated_observables_singular(self):
-        with pytest.raises(NonInvertibleSusceptibilityError) as err:
+        with pytest.raises(NonInvertibleError) as err:
             susceptibility(MODEL, [SZ, SZ])
         assert err.value.condition_number > 1e12
-        with pytest.raises(NonInvertibleSusceptibilityError):
+        with pytest.raises(NonInvertibleError, match="^susceptibility matrix is not invertible"):
             MoriLinearResponse(MODEL, (SZ, SZ))  # chi is checked at construction
 
 
@@ -629,6 +628,13 @@ class TestFactorizeAndWait:
             total = blow_up(prep, rho_s)
             assert validate_density(total).ok
             assert np.linalg.norm(partial_trace(total, keep=0) - rho_s) < 1e-10
+
+    def test_singular_wait_is_not_invertible(self):
+        # H = g sx sx and rho_B0 = 1/2 give G = diag(1, cos 2g t0, cos 2g t0),
+        # singular at t0 = pi/4 for g = 1
+        with pytest.raises(NonInvertibleError, match="^Bloch block of the propagator") as err:
+            FactorizeAndWait(ModelParams(1.0, 0.0, 1.0), Fz_wait=0.0, t0=math.pi / 4, rho_B0=ID2 / 2)
+        assert err.value.condition_number > 1e12
 
     def test_near_pure_state_leaves_domain(self):
         model = ModelParams(1.0, 1.0, 1.0)
