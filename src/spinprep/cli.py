@@ -16,8 +16,12 @@ own rules; each subcommand names its flags in _SUBCOMMANDS.  --out PATH
 Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
 the checks of a, then those of b.  Each coupling's rows become CSV text
-before the next coupling runs; the CSV is written only once every coupling
-has succeeded, so a run that fails at a later coupling writes none.  Every
+before the next coupling runs: _csv_rows fills one row template, repeated
+per row, from the flat cells of every row.  sweep-bloch takes those cells
+straight from its figure_sweep points, writes the coupling into the
+template, and formats the field column once per grid (_field_cells keeps
+the last grid's cells).  The CSV is written only once every coupling has
+succeeded, so a run that fails at a later coupling writes none.  Every
 check's threshold is in _THRESHOLDS; README's Command line section tables
 when each check applies and whether --tolerance-scale scales it.
 
@@ -37,9 +41,10 @@ import functools
 import itertools
 import math
 import sys
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -278,15 +283,33 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _csv_rows(rows: list[tuple]) -> str:
-    """One coupling's rows as CSV lines: one % call on a row template repeated
-    per row, taken from the first row (every row has its cell types).  %.17g
+def _csv_rows(cells: Sequence, template: str) -> str:
+    """One coupling's rows as CSV lines: one % call on the row template,
+    repeated per row, over the flat cells of every row in row order.  %.17g
     gives the bytes of _fmt; a cell that is already text (a --prep name, or
-    sweep-bloch's coupling, formatted once per coupling) is written with %s."""
-    if not rows:
+    a sweep-bloch field from _field_cells) is written with %s.  Text that is
+    the same in every row (sweep-bloch's coupling) sits in the template
+    itself, so the template holds no % but those of its cells."""
+    if not cells:
         return ""
-    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-    return (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return (template * (len(cells) // template.count("%"))) % tuple(cells)
+
+
+def _row_template(row: tuple) -> str:
+    """The _csv_rows template of rows with the cell types of row."""
+    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
+
+
+def _tuple_rows(run: Callable) -> Callable:
+    """A runner of tuple rows as main calls it: its rows become flat cells
+    and the template of the first row (every row has its cell types)."""
+
+    @functools.wraps(run)
+    def flat(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
+        rows, checks = run(cfg, model)
+        return tuple(itertools.chain.from_iterable(rows)), _row_template(rows[0]), checks
+
+    return flat
 
 
 def _write_csv(path: str | None, header: tuple[str, ...], chunks: list[str]) -> None:
@@ -323,13 +346,31 @@ def _into_range(cfg: dict, prep, states: list) -> list:
     return states
 
 
-def _run_sweep_bloch(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+@functools.lru_cache(maxsize=1)
+def _field_cells(fields: bytes) -> tuple[str, ...]:
+    """The %.17g cells of a grid's fields, given as their float64 bytes.
+
+    One grid serves every coupling of a run.  The key is the fields' own
+    bytes, not a tuple of them: -0.0 == 0.0, so a tuple key would serve a
+    grid that ends at -0 the cells of one that ends at 0.
+    """
+    return tuple(["%.17g" % fz for fz in memoryview(fields).cast("d")])
+
+
+def _run_sweep_bloch(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
     points = figure_sweep(model, cfg["fz_min"], cfg["fz_max"], cfg["steps"])
-    worst = float(np.diff([p.S1z for p in points]).min())
-    coupling = _fmt(model.g)  # the same cell in every row, formatted once
-    return [(coupling, *p) for p in points], [_gate(cfg, model.g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
+    # the cells of each point in order: beta_Fz, S1z, S2z, Cxx, Cyy, Czz
+    cells = list(itertools.chain.from_iterable(points))
+    del points  # cells hold its floats
+    worst = float(np.diff(cells[1::6]).min())
+    cells[0::6] = _field_cells(array("d", cells[0::6]).tobytes())
+    coupling = _fmt(model.g)  # finite, so its text holds no %
+    template = coupling + ",%s" + ",%.17g" * 5 + "\n"
+    # a tuple, which _csv_rows formats without a copy, and the list is freed
+    return tuple(cells), template, [_gate(cfg, model.g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
 
 
+@_tuple_rows
 def _run_sweep_linearity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     grid = np.linspace(-cfg["s1z_max"], cfg["s1z_max"], cfg["points"])
     report = linearity_scan(model, grid)
@@ -339,6 +380,7 @@ def _run_sweep_linearity(cfg: dict, model: ModelParams) -> tuple[list[tuple], li
     return rows, [_gate(cfg, model.g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")]
 
 
+@_tuple_rows
 def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
     # each end state is evaluated once and shared by every test it takes part in
@@ -354,6 +396,7 @@ def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Che
     return rows, [_gate(cfg, model.g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")]
 
 
+@_tuple_rows
 def _run_affinity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     prep = _make_preparation(cfg, model)
     reach = _MORI_S1Z if cfg["prep"] == "mori" else cfg["s1z_max"]
@@ -374,10 +417,23 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Chec
         return state
 
     defect = affinity_defect(image, samples, cfg["lambdas"])
-    check = _gate(cfg, model.g, ("affinity", cfg["prep"]), f"affinity_{cfg['prep']}_bg_{_fmt(model.g)}", defect)
+    # a quadratic nonlinearity moves the defect by about the spread squared:
+    # samples closer than the square root of the gate cannot show one above it
+    key = ("affinity", cfg["prep"])
+    floor = math.sqrt(_THRESHOLDS[key][0] * cfg["tolerance_scale"])
+    # hypot, which neither underflows nor overflows: the largest Frobenius distance
+    spread = max(math.hypot(*np.abs(a - b).flat) for a, b in itertools.combinations(samples, 2))
+    if spread < floor:
+        raise ValueError(
+            f"affinity samples lie within {spread:.3e} of each other (Frobenius), below {floor:.3e}, "
+            "the square root of the gate, where no quadratic nonlinearity shows; widen --s1z-max "
+            "or lower --tolerance-scale"
+        )
+    check = _gate(cfg, model.g, key, f"affinity_{cfg['prep']}_bg_{_fmt(model.g)}", defect)
     return [(cfg["prep"], model.e, model.g, defect)], [check]
 
 
+@_tuple_rows
 def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     prep = _make_preparation(cfg, model)
     u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
@@ -397,6 +453,7 @@ def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]
     return rows, [_gate(cfg, model.g, ("evolve", cfg["prep"]), name, residual)]
 
 
+@_tuple_rows
 def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     step = cfg["fd_step"]
     chi = float(susceptibility(model, [SZ])[0, 0])
@@ -418,6 +475,7 @@ def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Ch
     return [(model.g, chi, float(fd), *residuals, ratio)], [chi_check, order]
 
 
+@_tuple_rows
 def _run_pechukas(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
     rows = [(model.g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
@@ -433,7 +491,7 @@ class _Subcommand:
     subcommands."""
 
     def __init__(self, run: Callable, header: tuple[str, ...], beta_g: list[float], *options: str):
-        self.run = run  # (cfg, model) -> (rows, checks) of one coupling
+        self.run = run  # (cfg, model) -> (cells, row template, checks) of one coupling
         self.header = header
         self.beta_g = beta_g
         self.options = ("beta_e", "tolerance_scale", "beta_g", *options)
@@ -500,11 +558,11 @@ def main(argv=None) -> int:
         # order, and its rows become CSV text before the next one runs
         for beta_g in cfg["beta_g"]:
             # dimensionless convention: beta = 1, couplings carry the beta products
-            rows, coupling_checks = command.run(cfg, ModelParams(beta=1.0, e=cfg["beta_e"], g=beta_g))
-            chunks.append(_csv_rows(rows))
-            n_rows += len(rows)
+            cells, template, coupling_checks = command.run(cfg, ModelParams(beta=1.0, e=cfg["beta_e"], g=beta_g))
+            chunks.append(_csv_rows(cells, template))
+            n_rows += len(cells) // template.count("%")
             checks += coupling_checks
-            del rows  # not held while the next coupling runs
+            del cells  # not held while the next coupling runs
         _write_csv(args.out, command.header, chunks)
     except (ValueError, RuntimeError, OSError) as err:
         # RuntimeError: a solver that did not converge (invert_field); no result.

@@ -198,8 +198,9 @@ def equilibrium_observables(p: ModelParams, Fz: float) -> EquilibriumCurvePoint:
     r_mean = 0.5 * r_minus + 0.5 * r_plus  # >= |e|, and 0 only at e = g = Fz = 0
     d = beta * Fz * (e / r_mean) if r_mean else 0.0
     f_plus, f_minus, czz = _equilibrium_kernel(x, y, d)
-    # _make takes the one tuple as is, past the keyword handling of __new__
-    return EquilibriumCurvePoint._make((
+    # tuple.__new__ takes the one tuple as is, past the keyword handling of
+    # the class's __new__ and the length check of _make
+    return tuple.__new__(EquilibriumCurvePoint, (
         Fz,
         beta * (Fz * f_plus - e * f_minus),
         beta * (Fz * f_minus - e * f_plus),

@@ -10,7 +10,17 @@ import spinprep.diagnostics
 import spinprep.evolve
 import spinprep.prepare
 from spinprep import ModelParams, equilibrium_observables, invert_field
-from spinprep.cli import _OPTIONS, _SUBCOMMANDS, _THRESHOLDS, _csv_rows, _fmt, _write_csv, main
+from spinprep.cli import (
+    _OPTIONS,
+    _SUBCOMMANDS,
+    _THRESHOLDS,
+    _csv_rows,
+    _field_cells,
+    _fmt,
+    _row_template,
+    _write_csv,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -87,24 +97,70 @@ class TestSweepBloch:
         ]
         header = ("prep", "a", "b", "c", "d", "e")
         expected = "\n".join([",".join(header), *(",".join(map(_fmt, r)) for r in rows)]) + "\n"
-        _write_csv(None, header, [_csv_rows(rows)])
+        template = _row_template(rows[0])
+
+        def cells(chunk):
+            return [cell for row in chunk for cell in row]
+
+        _write_csv(None, header, [_csv_rows(cells(rows), template)])
         assert capsys.readouterr().out == expected
         target = tmp_path / "rows.csv"
-        _write_csv(str(target), header, [_csv_rows(rows[:2]), _csv_rows([]), _csv_rows(rows[2:])])
+        chunks = [_csv_rows(cells(rows[:2]), template), _csv_rows([], template), _csv_rows(cells(rows[2:]), template)]
+        _write_csv(str(target), header, chunks)
         assert target.read_bytes() == expected.encode()
 
-    def test_rows_are_the_cells_of_each_figure_sweep_point(self, capsys):
-        # the coupling cell, formatted once per coupling, holds the bytes of
-        # _fmt of the float, -0 and a tiny coupling included
-        code, out, _ = run(capsys, "sweep-bloch", "--beta-g=-0,1e-300,1.5", "--steps=7")
-        assert code == 0
-        expected = [
+    @staticmethod
+    def _figure_rows(beta_e, couplings, grid):
+        # the CSV rows of figure_sweep's points, every cell through _fmt
+        return [
             ",".join(map(_fmt, (beta_g, *point)))
-            for beta_g in (-0.0, 1e-300, 1.5)
-            for point in spinprep.diagnostics.figure_sweep(ModelParams(1.0, 1.0, beta_g), -5.0, 5.0, 7)
+            for beta_g in couplings
+            for point in spinprep.diagnostics.figure_sweep(ModelParams(1.0, beta_e, beta_g), *grid)
         ]
-        assert out.splitlines()[1:] == expected
-        assert out.splitlines()[1].startswith("-0,")
+
+    @pytest.mark.parametrize(
+        "flags, beta_e, couplings, grid",
+        [
+            # -0 and a tiny coupling: the coupling cell in the template holds
+            # the bytes of _fmt of the float
+            (("--beta-g=-0,1e-300,1.5", "--steps=7"), 1.0, (-0.0, 1e-300, 1.5), (-5.0, 5.0, 7)),
+            (("--steps=2",), 1.0, (0.5, 1.0, 1.5), (-5.0, 5.0, 2)),
+            (("--beta-g=-1.5,0.5", "--steps=11"), 1.0, (-1.5, 0.5), (-5.0, 5.0, 11)),
+            (("--beta-e=1e308", "--steps=9"), 1e308, (0.5, 1.0, 1.5), (-5.0, 5.0, 9)),
+            # steps below an ulp: equal fields, each written as its own cell
+            (
+                ("--fz-min=1", "--fz-max=1.000000000000001", "--steps=50"),
+                1.0,
+                (0.5, 1.0, 1.5),
+                (1.0, 1.000000000000001, 50),
+            ),
+        ],
+        ids=["minus-zero-and-tiny-coupling", "steps-2", "negative-coupling", "beta-e-1e308", "sub-ulp-grid"],
+    )
+    def test_rows_are_the_cells_of_each_figure_sweep_point(self, capsys, flags, beta_e, couplings, grid):
+        code, out, _ = run(capsys, "sweep-bloch", *flags)
+        assert code == 0
+        assert out.splitlines()[1:] == self._figure_rows(beta_e, couplings, grid)
+
+    def test_field_cells_serve_only_their_own_grid(self, capsys):
+        # main calls in one process: the same grid with other couplings, then
+        # other grids, -0 and 0 as a last field among them.  The field cells
+        # are formatted once per grid; no run writes another grid's fields or
+        # another run's couplings
+        runs = [
+            (("--beta-g=0.5,1", "--fz-min=-3", "--fz-max=2", "--steps=7"), (0.5, 1.0), (-3.0, 2.0, 7), 1),
+            (("--beta-g=-2,3", "--fz-min=-3", "--fz-max=2", "--steps=7"), (-2.0, 3.0), (-3.0, 2.0, 7), 0),
+            (("--beta-g=-2", "--fz-min=-3", "--fz-max=2", "--steps=8"), (-2.0,), (-3.0, 2.0, 8), 1),
+            (("--beta-g=1", "--fz-min=-1", "--fz-max=0", "--steps=3"), (1.0,), (-1.0, 0.0, 3), 1),
+            (("--beta-g=1", "--fz-min=-1", "--fz-max=-0", "--steps=3"), (1.0,), (-1.0, -0.0, 3), 1),
+        ]
+        for flags, couplings, grid, formatted in runs:
+            before = _field_cells.cache_info().misses
+            code, out, _ = run(capsys, "sweep-bloch", *flags)
+            assert code == 0
+            assert out.splitlines()[1:] == self._figure_rows(1.0, couplings, grid), flags
+            assert _field_cells.cache_info().misses - before == formatted, flags
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["-1", "-0.5", "-0"]
 
     def test_writes_only_the_requested_file(self, capsys, tmp_path):
         target = tmp_path / "only.csv"
@@ -154,10 +210,14 @@ class TestSweepBloch:
             points[100], points[101] = points[101], points[100]
 
         self._patched_sweep(monkeypatch, swap)
-        code, _, err = run(capsys, "sweep-bloch", "--beta-g=1")
+        code, out, err = run(capsys, "sweep-bloch", "--beta-g=1")
         assert code == 1
         assert summary_value(err, "s1z_monotone_bg_1") == "fail"
         assert float(summary_value(err, "s1z_monotone_bg_1_value")) < -1e-3
+        # the beta_Fz cells are the swapped points' own fields, not the grid's
+        fields = np.linspace(-5.0, 5.0, 201).tolist()
+        fields[100], fields[101] = fields[101], fields[100]
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [_fmt(fz) for fz in fields]
 
     @pytest.mark.parametrize("drop, passed", [(1.5e-15, True), (2.5e-15, False), (1e-14, False)])
     def test_a_drop_beyond_roundoff_fails_the_monotonicity_gate(self, capsys, monkeypatch, drop, passed):
@@ -205,6 +265,38 @@ class TestAffinity:
         assert code == 2
         assert out == ""
         assert err == "spinprep: affinity test needs at least 2 distinct samples\n"
+
+    @pytest.mark.parametrize(
+        "argv, spread, floor",
+        [
+            (("--s1z-max=1e-15",), "1.335e-15", "3.162e-05"),
+            (("--prep=factorizing", "--s1z-max=1e-300"), "1.089e-300", "3.162e-07"),
+            (("--s1z-max=3e-5", "--tolerance-scale=1e3"), "4.035e-05", "1.000e-03"),
+            (("--prep=mori", "--tolerance-scale=1e10"), "6.725e-02", "1.000e-01"),
+        ],
+        ids=["equilibrium-1e-15", "factorizing-1e-300", "equilibrium-scaled", "mori-scaled"],
+    )
+    def test_samples_within_the_root_of_the_gate_are_an_input_error(self, capsys, argv, spread, floor):
+        # a quadratic nonlinearity moves the defect by the spread squared, so
+        # samples that differ by roundoff would pass any map as affine
+        code, out, err = run(capsys, "affinity", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"spinprep: affinity samples lie within {spread} of each other (Frobenius), below {floor}, "
+            "the square root of the gate, where no quadratic nonlinearity shows; widen --s1z-max "
+            "or lower --tolerance-scale\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--s1z-max=3e-5",), ("--prep=factorizing", "--s1z-max=4e-7"), ("--prep=factorize-and-wait", "--s1z-max=1e-4")],
+        ids=["equilibrium", "factorizing", "factorize-and-wait"],
+    )
+    def test_samples_beyond_the_root_of_the_gate_run(self, capsys, argv):
+        code, _, err = run(capsys, "affinity", *argv)
+        assert code == 0
+        assert summary_value(err, "status") == "pass"
 
     def test_mori_ignores_s1z_max(self, capsys):
         # the Mori preparation takes its targets within |S1z| <= 0.05, as its

@@ -247,10 +247,12 @@ class TestEquilibriumKernel:
 
 
 class TestEquilibriumObservables:
-    def test_returns_an_equilibrium_curve_point(self):
-        p = equilibrium_observables(ModelParams(1.0, 1.0, 0.5), 0.25)
+    @pytest.mark.parametrize("e, g, fz", [(1.0, 0.5, 0.25), (0.0, 0.0, 0.0), (1e308, -2.0, -0.0)])
+    def test_returns_an_equilibrium_curve_point(self, e, g, fz):
+        p = equilibrium_observables(ModelParams(1.0, e, g), fz)
         assert type(p) is EquilibriumCurvePoint
-        assert p.Fz == 0.25 and p._fields == ("Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz")
+        assert len(p) == 6 and p._fields == ("Fz", "S1z", "S2z", "Cxx", "Cyy", "Czz")
+        assert p.Fz is fz
         assert p == EquilibriumCurvePoint(*p)
 
     def test_zero_field_parity_zeros(self):
