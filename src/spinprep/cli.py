@@ -15,15 +15,17 @@ own rules; each subcommand names its flags in _SUBCOMMANDS.  --out PATH
 
 Couplings run independently and in order: --beta-g=a,b writes the header,
 the rows of --beta-g=a, then those of --beta-g=b, and its run-summary lists
-the checks of a, then those of b.  Each coupling's rows become CSV text
-before the next coupling runs: _csv_rows fills one row template, repeated
-per row, from the flat cells of every row.  sweep-bloch takes those cells
-straight from its figure_sweep points, writes the coupling into the
-template, and formats the field column once per grid (_field_cells keeps
-the last grid's cells).  The CSV is written only once every coupling has
-succeeded, so a run that fails at a later coupling writes none.  Every
-check's threshold is in _THRESHOLDS; README's Command line section tables
-when each check applies and whether --tolerance-scale scales it.
+the checks of a, then those of b.  Every runner returns one coupling's
+flat cells, its row template and its checks; each coupling's rows become
+CSV text before the next coupling runs: _csv_rows fills the row template,
+repeated per row, from the flat cells of every row.  The template holds the
+text that is the same in every row (the coupling, and affinity's --prep and
+beta_e); sweep-bloch also formats its field column once per grid
+(_field_cells keeps the last grid's cells).  The CSV is written only once
+every coupling has succeeded, so a run that fails at a later coupling
+writes none.  Every check's threshold is in _THRESHOLDS; README's Command
+line section tables when each check applies and whether --tolerance-scale
+scales it.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
 configuration error (an unknown --prep among them), an --out that cannot be
@@ -76,9 +78,9 @@ from .prepare import (
 )
 
 
-def _fmt(value) -> str:
+def _fmt(value: float) -> str:
     # np.float64 is a float subclass and formats like one
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    return format(value, ".17g")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -146,6 +148,14 @@ def _at_least(least: int) -> tuple:
 _POSITIVE = (lambda x: x > 0.0, "must be finite and positive")
 _FRACTIONS = (lambda v: all(0.0 < x < 1.0 for x in np.atleast_1d(v)), "must lie strictly between 0 and 1")
 _ONCE = (lambda gs: len(set(gs)) == len(gs), "lists a coupling more than once")
+# A central difference of step h is off by up to 1e-15/h of roundoff (each
+# S1z is within 1e-15 of its value) plus h^2/3 of truncation (|d3 S1z/dFz3|
+# <= 2 at beta = 1).  The unscaled chi bound decides whether the check can
+# run; --tolerance-scale still moves the gate itself.
+_FD_WINDOW = (
+    lambda h: 1e-15 / h + h * h / 3.0 <= _THRESHOLDS["chi"][0],
+    f"must keep the central difference's error 1e-15/h + h^2/3 within the chi bound {_THRESHOLDS['chi'][0]:g}",
+)
 _FZ_LIST = (
     (lambda fs: len(fs) >= 2, "needs at least two fields to show a decay"),
     (lambda fs: all(abs(a) < abs(b) for a, b in zip(fs, fs[1:])), "must grow strictly in |Fz| to show a decay"),
@@ -174,7 +184,8 @@ _OPTIONS = {
     "fz_grid": _Option(_parse_float_list, [-2.0, -1.0, 0.0, 1.0, 2.0],
                        "comma-separated fields that pick the input states", note="--prep mori reads only how many"),
     "evolve_fz": _Option(float, 0.0, "beta*Fz of the evolution Hamiltonian"),
-    "fd_step": _Option(float, 1e-4, "step of the central difference that chi is checked against", (_POSITIVE,)),
+    "fd_step": _Option(float, 1e-4, "step of the central difference that chi is checked against",
+                       (_POSITIVE, _FD_WINDOW)),
     "fz_list": _Option(_parse_float_list, [4.0, 6.0, 8.0], "comma-separated large beta*Fz fields", _FZ_LIST),
 }
 
@@ -286,30 +297,19 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _csv_rows(cells: Sequence, template: str) -> str:
     """One coupling's rows as CSV lines: one % call on the row template,
     repeated per row, over the flat cells of every row in row order.  %.17g
-    gives the bytes of _fmt; a cell that is already text (a --prep name, or
-    a sweep-bloch field from _field_cells) is written with %s.  Text that is
-    the same in every row (sweep-bloch's coupling) sits in the template
-    itself, so the template holds no % but those of its cells."""
+    gives the bytes of _fmt; the one cell that is already text, a sweep-bloch
+    field from _field_cells, is written with %s.  Text that is the same in
+    every row (the coupling, affinity's --prep and beta_e) sits in the
+    template itself, so the template holds no % but those of its cells."""
     if not cells:
         return ""
     return (template * (len(cells) // template.count("%"))) % tuple(cells)
 
 
-def _row_template(row: tuple) -> str:
-    """The _csv_rows template of rows with the cell types of row."""
-    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
-
-
-def _tuple_rows(run: Callable) -> Callable:
-    """A runner of tuple rows as main calls it: its rows become flat cells
-    and the template of the first row (every row has its cell types)."""
-
-    @functools.wraps(run)
-    def flat(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
-        rows, checks = run(cfg, model)
-        return tuple(itertools.chain.from_iterable(rows)), _row_template(rows[0]), checks
-
-    return flat
+def _template(model: ModelParams, n: int) -> str:
+    """The row template of a coupling: its cell, then n float cells.  The
+    coupling is finite, so its text holds no %."""
+    return _fmt(model.g) + ",%.17g" * n + "\n"
 
 
 def _write_csv(path: str | None, header: tuple[str, ...], chunks: list[str]) -> None:
@@ -370,34 +370,34 @@ def _run_sweep_bloch(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Ch
     return tuple(cells), template, [_gate(cfg, model.g, "s1z_rise", f"s1z_monotone_bg_{coupling}", worst)]
 
 
-@_tuple_rows
-def _run_sweep_linearity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_sweep_linearity(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
     grid = np.linspace(-cfg["s1z_max"], cfg["s1z_max"], cfg["points"])
     report = linearity_scan(model, grid)
     curves = [report.curves[name] for name in ("S2z", "Cxx", "Cyy", "Czz")]
-    rows = [(model.g, float(s), *(float(c[k]) for c in curves)) for k, s in enumerate(report.s1z)]
+    # the cells of each S1z in order: S1z, S2z, Cxx, Cyy, Czz
+    cells = np.column_stack((report.s1z, *curves)).ravel().tolist()
     worst = max(fit.max_residual for fit in report.fits.values())
-    return rows, [_gate(cfg, model.g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")]
+    check = _gate(cfg, model.g, "linearity", "linear_when_uncoupled", worst, "residual_recorded")
+    return cells, _template(model, 5), [check]
 
 
-@_tuple_rows
-def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
     fields = np.linspace(cfg["f_min"], cfg["f_max"], cfg["f_steps"]).tolist()
     # each end state is evaluated once and shared by every test it takes part in
     ends = [equilibrium_observables(model, f) for f in fields]
-    rows: list[tuple] = []
+    cells: list[float] = []
     worst = 0.0
     for end1 in ends:
         for end2 in ends:
             for lam in cfg["lambdas"]:
                 r = convexity_test(model, end1, end2, float(lam))
-                rows.append((model.g, r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect))
+                cells += (r.F1, r.F2, r.weight, r.F3, r.S2_defect, r.C_defect)
                 worst = max(worst, r.S2_defect, r.C_defect)
-    return rows, [_gate(cfg, model.g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")]
+    check = _gate(cfg, model.g, "convexity", "convex_when_uncoupled", worst, "defect_recorded")
+    return cells, _template(model, 6), [check]
 
 
-@_tuple_rows
-def _run_affinity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
     prep = _make_preparation(cfg, model)
     reach = _MORI_S1Z if cfg["prep"] == "mori" else cfg["s1z_max"]
     targets = chebyshev_targets(cfg["samples"], -reach, reach)
@@ -430,11 +430,11 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Chec
             "or lower --tolerance-scale"
         )
     check = _gate(cfg, model.g, key, f"affinity_{cfg['prep']}_bg_{_fmt(model.g)}", defect)
-    return [(cfg["prep"], model.e, model.g, defect)], [check]
+    # one row: the --prep name and beta_e sit in the template before the coupling
+    return (defect,), f"{cfg['prep']},{_fmt(model.e)},{_template(model, 1)}", [check]
 
 
-@_tuple_rows
-def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
     prep = _make_preparation(cfg, model)
     u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
     if cfg["prep"] == "mori":
@@ -444,17 +444,14 @@ def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in cfg["fz_grid"]]
         states = _into_range(cfg, prep, states)
     pairs = [(rho_s, reduced_evolution(prep, u, rho_s)) for rho_s in states]
-    rows = [
-        (model.g, float(qubit_bloch(rho_s)[2]), *(float(x) for x in qubit_bloch(out)))
-        for rho_s, out in pairs
-    ]
+    # the cells of each pair in order: S1z in, then Sx, Sy, Sz out
+    cells = [x for rho_s, out in pairs for x in (qubit_bloch(rho_s)[2], *qubit_bloch(out))]
     residual = fit_affine_map(pairs).residual
     name = f"evolution_fit_{cfg['prep']}_bg_{_fmt(model.g)}"
-    return rows, [_gate(cfg, model.g, ("evolve", cfg["prep"]), name, residual)]
+    return cells, _template(model, 4), [_gate(cfg, model.g, ("evolve", cfg["prep"]), name, residual)]
 
 
-@_tuple_rows
-def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
     step = cfg["fd_step"]
     chi = float(susceptibility(model, [SZ])[0, 0])
     fd = (
@@ -472,17 +469,17 @@ def _run_mori_check(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Ch
     roundoff = _roundoff_gate(cfg, model.g, residuals, residuals[1], "mori_floor", "mori_exact")
     order = roundoff or _gate(cfg, model.g, "quadratic_order", f"quadratic_order_bg_{_fmt(model.g)}", ratio)
     chi_check = _gate(cfg, model.g, "chi", f"chi_matches_fd_bg_{_fmt(model.g)}", abs(chi - fd))
-    return [(model.g, chi, float(fd), *residuals, ratio)], [chi_check, order]
+    return (chi, fd, *residuals, ratio), _template(model, 5), [chi_check, order]
 
 
-@_tuple_rows
-def _run_pechukas(cfg: dict, model: ModelParams) -> tuple[list[tuple], list[Check]]:
+def _run_pechukas(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
     values = [factorization_residual(equilibrium_state(model, fz)) for fz in cfg["fz_list"]]
-    rows = [(model.g, fz, res) for fz, res in zip(cfg["fz_list"], values)]
+    cells = [x for pair in zip(cfg["fz_list"], values) for x in pair]
     # where the environment spin is frozen (beta e = 1e308) the state is a product to roundoff
     roundoff = _roundoff_gate(cfg, model.g, values, max(values), "pechukas_floor", "factorized")
     decreasing = all(a > b for a, b in zip(values, values[1:]))
-    return rows, [roundoff or Check(f"residual_decay_bg_{_fmt(model.g)}", decreasing, values[-1])]
+    check = roundoff or Check(f"residual_decay_bg_{_fmt(model.g)}", decreasing, values[-1])
+    return cells, _template(model, 2), [check]
 
 
 class _Subcommand:

@@ -17,7 +17,6 @@ from spinprep.cli import (
     _csv_rows,
     _field_cells,
     _fmt,
-    _row_template,
     _write_csv,
     main,
 )
@@ -89,15 +88,16 @@ class TestSweepBloch:
         assert len(out.splitlines()) == 4
 
     def test_row_template_writes_the_cell_format_bytes(self, capsys, tmp_path):
-        # the formatter's one row template gives the bytes of _fmt per cell
+        # the formatter's one row template gives the bytes of _fmt per cell;
+        # text that is the same in every row sits in the template itself
         specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308]
         rows = [
-            ("mori", np.float64(x), x, -x, 0.1 * (k + 1), np.float64(1.0 / 3.0))
+            (np.float64(x), x, -x, 0.1 * (k + 1), np.float64(1.0 / 3.0))
             for k, x in enumerate(specials)
         ]
         header = ("prep", "a", "b", "c", "d", "e")
-        expected = "\n".join([",".join(header), *(",".join(map(_fmt, r)) for r in rows)]) + "\n"
-        template = _row_template(rows[0])
+        expected = "\n".join([",".join(header), *("mori," + ",".join(map(_fmt, r)) for r in rows)]) + "\n"
+        template = "mori" + ",%.17g" * 5 + "\n"
 
         def cells(chunk):
             return [cell for row in chunk for cell in row]
@@ -503,6 +503,21 @@ class TestMoriCheckAndPechukas:
         assert summary_value(err, check) == "pass"
         assert "_exact_bg_" not in err and "factorized_bg_" not in err
 
+    @pytest.mark.parametrize("step", ["1e-12", "5e-324", "1e-2", "1e308"])
+    def test_fd_step_outside_the_difference_window_is_a_usage_error(self, capsys, step):
+        # 1e-15/h of roundoff plus h^2/3 of truncation beyond the 1e-6 chi
+        # bound: the finite difference could fail the gate on correct code
+        code, out, err = run(capsys, "mori-check", f"--fd-step={step}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spinprep: configuration error: fd-step must keep the central difference's error")
+
+    @pytest.mark.parametrize("step", ["2e-9", "1e-4", "1e-3"])
+    def test_fd_step_inside_the_difference_window_runs(self, capsys, step):
+        code, _, err = run(capsys, "mori-check", f"--fd-step={step}")
+        assert code == 0
+        assert summary_value(err, "chi_matches_fd_bg_1") == "pass"
+
     def test_chi_is_gated_when_uncoupled(self, capsys):
         code, _, err = run(capsys, "mori-check", "--beta-g=0")
         assert code == 0
@@ -885,6 +900,19 @@ class TestCouplingIndependence:
         target = tmp_path / "two.csv"
         assert run(capsys, *argv, f"--beta-g={a},{b}", "--out", str(target))[0] == code
         assert target.read_bytes() == out.encode()
+        # every row has a cell per column, and the constants of its row
+        # template sit in their columns: the coupling, or affinity's --prep,
+        # beta_e and coupling
+        columns = header.split(",")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert all(len(row) == len(columns) for row in rows)
+        prep = next((arg.split("=", 1)[1] for arg in argv if arg.startswith("--prep=")), "equilibrium")
+        for coupling, body in ((a, body_a), (b, body_b)):
+            for line in body.splitlines():
+                row = dict(zip(columns, line.split(",")))
+                assert row["beta_g"] == _fmt(float(coupling))
+                if argv[0] == "affinity":
+                    assert (row["prep"], row["beta_e"]) == (prep, "1")
 
     def test_failure_at_a_later_coupling_writes_no_csv(self, capsys, tmp_path):
         # beta g = 1 runs; at beta g = 800 the Mori blow-up is not a state
@@ -1158,7 +1186,14 @@ class TestOptions:
             "time": (("evolve",), 1.0, ()),
             "fz_grid": (("evolve",), [-2.0, -1.0, 0.0, 1.0, 2.0], ()),
             "evolve_fz": (("evolve",), 0.0, ()),
-            "fd_step": (("mori-check",), 1e-4, ("must be finite and positive",)),
+            "fd_step": (
+                ("mori-check",),
+                1e-4,
+                (
+                    "must be finite and positive",
+                    "must keep the central difference's error 1e-15/h + h^2/3 within the chi bound 1e-06",
+                ),
+            ),
             "fz_list": (
                 ("pechukas",),
                 [4.0, 6.0, 8.0],
