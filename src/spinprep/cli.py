@@ -301,8 +301,6 @@ def _csv_rows(cells: Sequence, template: str) -> str:
     field from _field_cells, is written with %s.  Text that is the same in
     every row (the coupling, affinity's --prep and beta_e) sits in the
     template itself, so the template holds no % but those of its cells."""
-    if not cells:
-        return ""
     return (template * (len(cells) // template.count("%"))) % tuple(cells)
 
 
@@ -326,24 +324,24 @@ def _z_state(s1z: float):
     return reduced_from_bloch(np.array([0.0, 0.0, s1z]))
 
 
-def _make_preparation(cfg: dict, model: ModelParams):
+def _prepared(cfg: dict, model: ModelParams, states: list) -> tuple:
+    """The --prep preparation and the states it blows up.
+
+    --prep factorize-and-wait blows up the images of the given states under
+    its wait map G, the states in G's range; the other preparations blow up
+    the given list itself, the same objects.
+    """
     kind = cfg["prep"]
     if kind == "equilibrium":
-        return Equilibrium(model)
+        return Equilibrium(model), states
     if kind == "mori":
-        return MoriLinearResponse(model, (SZ,))
+        return MoriLinearResponse(model, (SZ,)), states
     # the product preparations start from the zero-field environment marginal
     rho_b = partial_trace(equilibrium_state(model, 0.0), keep=1)
     if kind == "factorizing":
-        return Factorizing(rho_b)
-    return FactorizeAndWait(model, Fz_wait=0.0, t0=cfg["t0"], rho_B0=rho_b)
-
-
-def _into_range(cfg: dict, prep, states: list) -> list:
-    # factorize-and-wait blows up only states in the range of its wait map G
-    if cfg["prep"] == "factorize-and-wait":
-        return [prep.G.apply(s) for s in states]
-    return states
+        return Factorizing(rho_b), states
+    prep = FactorizeAndWait(model, Fz_wait=0.0, t0=cfg["t0"], rho_B0=rho_b)
+    return prep, [prep.G.apply(s) for s in states]
 
 
 @functools.lru_cache(maxsize=1)
@@ -398,7 +396,6 @@ def _run_convexity(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check
 
 
 def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check]]:
-    prep = _make_preparation(cfg, model)
     reach = _MORI_S1Z if cfg["prep"] == "mori" else cfg["s1z_max"]
     targets = chebyshev_targets(cfg["samples"], -reach, reach)
     if cfg["prep"] == "factorizing":
@@ -406,7 +403,8 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check
         bloch = [[0.3 * np.sin(3.0 * s), 0.2 * np.cos(2.0 * s), float(s)] for s in targets]
         samples = [reduced_from_bloch(np.array(b) * 0.9) for b in bloch]
     else:
-        samples = _into_range(cfg, prep, [_z_state(float(s)) for s in targets])
+        samples = [_z_state(float(s)) for s in targets]
+    prep, samples = _prepared(cfg, model, samples)
 
     def image(rho_s):
         state = blow_up(prep, rho_s)
@@ -435,14 +433,13 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check
 
 
 def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
-    prep = _make_preparation(cfg, model)
-    u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
     if cfg["prep"] == "mori":
         s1z = np.linspace(-_MORI_S1Z, _MORI_S1Z, max(5, len(cfg["fz_grid"])))
         states = [_z_state(s) for s in s1z]
     else:
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in cfg["fz_grid"]]
-        states = _into_range(cfg, prep, states)
+    prep, states = _prepared(cfg, model, states)
+    u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
     pairs = [(rho_s, reduced_evolution(prep, u, rho_s)) for rho_s in states]
     # the cells of each pair in order: S1z in, then Sx, Sy, Sz out
     cells = [x for rho_s, out in pairs for x in (qubit_bloch(rho_s)[2], *qubit_bloch(out))]

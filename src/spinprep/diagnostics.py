@@ -166,7 +166,7 @@ def affinity_defect(map_fn, domain_samples, lambdas) -> float:
             mix = lam * x + (1.0 - lam) * y
             try:
                 image = map_fn(mix)
-            except (PreparationDomainError, DomainError) as err:
+            except DomainError as err:
                 raise PreparationDomainError(
                     f"map domain violated at the convex combination lambda={lam} "
                     f"of samples {i} and {j}: {err}"

@@ -140,12 +140,12 @@ def fit_affine_map(samples) -> AffineFitReport:
         )
     design = np.array([[1.0, *qubit_bloch(a)] for a, _ in pairs])
     targets = np.array([qubit_bloch(b) for _, b in pairs])
-    rank = int(np.linalg.matrix_rank(design, tol=1e-10))
-    if rank < 2:
+    theta, _, _, singular = np.linalg.lstsq(design, targets, rcond=None)  # (4, 3)
+    # the rank of the design, read off the singular values lstsq computed
+    if np.count_nonzero(singular > 1e-10) < 2:
         raise InsufficientSpanError(
             "samples do not span an affine family (all inputs coincide)"
         )
-    theta, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (4, 3)
     fitted = ReducedAffineMap(theta[1:, :].T.copy(), theta[0, :].copy())
     residual = max(float(np.linalg.norm(fitted.apply(a) - b)) for a, b in pairs)
     return AffineFitReport(fitted, residual)

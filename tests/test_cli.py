@@ -872,9 +872,13 @@ class TestCouplingIndependence:
             (("sweep-linearity", "--points=5"), ("1.2", "0")),
             (("convexity", "--f-steps=2", "--lambdas=0.5"), ("0", "1.2")),
             (("affinity", "--prep=equilibrium", "--samples=3"), ("0", "1.2")),
+            (("affinity", "--prep=factorizing", "--samples=3"), ("0.5", "1.2")),
+            (("affinity", "--prep=mori", "--samples=3"), ("1.2", "0")),
             (("affinity", "--prep=factorize-and-wait", "--samples=3"), ("1.2", "0.5")),
             (("evolve", "--prep=equilibrium"), ("1.2", "0")),
+            (("evolve", "--prep=factorizing"), ("0", "1.2")),
             (("evolve", "--prep=mori"), ("0.5", "1.2")),
+            (("evolve", "--prep=factorize-and-wait"), ("1.2", "0.5")),
             (("mori-check",), ("0.5", "1.2")),
             (("pechukas",), ("1.2", "0.5")),
             # every subcommand at its defaults

@@ -209,6 +209,19 @@ class TestFitAffineMap:
         with pytest.raises(InsufficientSpanError):
             fit_affine_map([(rho, rho)] * 6)
 
+    @pytest.mark.parametrize("spacing,spans", [(1e-12, False), (1e-9, True)])
+    def test_span_threshold_on_both_sides(self, spacing, spans):
+        # six z-states S1z = 0.3 + k * spacing: the design's second singular
+        # value is about 4.2 * spacing, so the 1e-10 rank cut falls between
+        # spacings of 2.2e-11 and 2.5e-11
+        target = ReducedAffineMap(np.diag([0.5, 0.5, 0.8]), np.array([0.0, 0.0, 0.1]))
+        pairs = [(z_state(0.3 + k * spacing), target.apply(z_state(0.3 + k * spacing))) for k in range(6)]
+        if not spans:
+            with pytest.raises(InsufficientSpanError):
+                fit_affine_map(pairs)
+        else:
+            assert fit_affine_map(pairs).residual < 1e-12
+
     def test_non_finite_sample_rejected(self, rng):
         # max(0.0, nan) is 0.0: without the check a NaN output reads as a perfect fit
         pairs = [(rho, rho) for rho in (random_density(rng, 2) for _ in range(6))]
