@@ -57,6 +57,7 @@ from .diagnostics import (
     figure_sweep,
     linearity_scan,
 )
+from .errors import ValidationError
 from .evolve import chebyshev_targets, fit_affine_map, propagator, reduced_evolution
 from .linalg import partial_trace, require_density
 from .model import (
@@ -440,7 +441,19 @@ def _run_evolve(cfg: dict, model: ModelParams) -> tuple[list, str, list[Check]]:
         states = [partial_trace(equilibrium_state(model, f), keep=0) for f in cfg["fz_grid"]]
     prep, states = _prepared(cfg, model, states)
     u = propagator(hamiltonian(model, cfg["evolve_fz"]), cfg["time"])
-    pairs = [(rho_s, reduced_evolution(prep, u, rho_s)) for rho_s in states]
+
+    def evolved(rho_s):
+        try:
+            return reduced_evolution(prep, u, rho_s)
+        except ValidationError as err:
+            # evolve_total refuses a total state that is not a density matrix,
+            # which of these preparations only the affine Mori blow-up gives
+            if cfg["prep"] != "mori":
+                raise
+            named = f"the Mori blow-up of S1z_in = {_fmt(qubit_bloch(rho_s)[2])}"
+            raise ValidationError(str(err).replace("state", named, 1)) from err
+
+    pairs = [(rho_s, evolved(rho_s)) for rho_s in states]
     # the cells of each pair in order: S1z in, then Sx, Sy, Sz out
     cells = [x for rho_s, out in pairs for x in (qubit_bloch(rho_s)[2], *qubit_bloch(out))]
     residual = fit_affine_map(pairs).residual

@@ -81,9 +81,11 @@ def factorizing_propagator(u: np.ndarray, rho_B0) -> ReducedAffineMap:
 
     G_t(rho_S) = Tr_env u (rho_S (x) rho_B0) u^dagger is affine in rho_S;
     its Bloch matrix and offset are read off by propagating the four basis
-    operators {1/2, sigma_x/2, sigma_y/2, sigma_z/2} (x) rho_B0.
+    operators {1/2, sigma_x/2, sigma_y/2, sigma_z/2} (x) rho_B0.  rho_B0
+    must be a 2x2 density matrix: another shape raises DimensionError, and
+    a 2x2 matrix that is not a state raises ValidationError.
     """
-    rho_B0 = require_density(rho_B0, "rho_B0")
+    rho_B0 = require_density(rho_B0, "rho_B0", shape=(2, 2))
 
     def reduced_image(system_op: np.ndarray) -> np.ndarray:
         total = kron(system_op, rho_B0)

@@ -123,8 +123,9 @@ class FactorizeAndWait:
     """Factorize at -t0, evolve with the waiting Hamiltonian, prepare at 0.
 
     Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0)
-    once, reads the reduced waiting propagator G off it and inverts G to
-    G_inv; it raises NonInvertibleError when G cannot be inverted.
+    once, reads the reduced waiting propagator G off it with
+    factorizing_propagator, which checks rho_B0, and inverts G to G_inv; it
+    raises NonInvertibleError when G cannot be inverted.
     A blow-up checks the pre-wait state sigma0 = G_inv(rho_S) and returns
     u_wait (sigma0 (x) rho_B0) u_wait^dagger.
     """
@@ -140,7 +141,6 @@ class FactorizeAndWait:
     def __post_init__(self):
         if not self.t0 > 0.0:
             raise ValueError(f"waiting time t0 must be positive, got {self.t0}")
-        require_density(self.rho_B0, "rho_B0", shape=(2, 2))
         u_wait = _frozen(propagator(hamiltonian(self.model, self.Fz_wait), self.t0))
         g_map = factorizing_propagator(u_wait, self.rho_B0)
         object.__setattr__(self, "u_wait", u_wait)
@@ -412,11 +412,13 @@ def mori_fields(prep: MoriLinearResponse, rho_S) -> np.ndarray:
 
 def _outside_stacklevel() -> int:
     """The warnings.warn stacklevel, counted from the caller, of the first
-    frame outside this module: a warning names the line that called into
-    the module, whether that called mori_blow_up directly or through blow_up.
+    frame outside this module and evolve: a warning names the line that
+    called into the library, whether that called mori_blow_up directly or
+    through blow_up or evolve.reduced_evolution.
     """
+    inside = (__name__, propagator.__module__)  # this module and evolve
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals is globals():
+    while frame is not None and frame.f_globals.get("__name__") in inside:
         frame, level = frame.f_back, level + 1
     return level
 

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import spinprep.cli
 import spinprep.diagnostics
 import spinprep.evolve
+import spinprep.linalg
 import spinprep.prepare
 from spinprep import ModelParams, equilibrium_observables, invert_field
 from spinprep.cli import (
@@ -381,6 +383,47 @@ class TestEvolve:
         code, _, _ = run(capsys, "evolve", f"--prep={prep}", "--beta-g=0.5,1.5")
         assert code == 0
         assert len(calls) == 2 * (2 if prep == "factorize-and-wait" else 1)
+
+    @pytest.mark.parametrize(
+        "argv, eigenvalue, warned",
+        [
+            (("--beta-g=800",), "-3.279e-04", 1),
+            (("--beta-g=1e20",), "-3.123e-04", 1),
+            (("--beta-e=40", "--beta-g=30"), "-1.145e-07", 0),
+        ],
+        ids=["bg-800", "bg-1e20", "be-40-bg-30"],
+    )
+    def test_mori_blow_up_that_is_not_a_state_is_named(self, capsys, argv, eigenvalue, warned):
+        # the affine Mori blow-up of the first state leaves the states: the
+        # error names it and its S1z_in cell, and an ExtrapolationWarning
+        # names the line of cli.py that called into the library
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", spinprep.ExtrapolationWarning)
+            code, out, err = run(capsys, "evolve", "--prep=mori", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "spinprep: the Mori blow-up of S1z_in = -0.050000000000000044 is not a valid density "
+            f"matrix (hermiticity defect 0.000e+00, trace defect 0.000e+00, min eigenvalue {eigenvalue})\n"
+        )
+        assert [w.filename for w in record] == [spinprep.cli.__file__] * warned
+
+    @pytest.mark.parametrize("subcommand", ["affinity", "evolve"])
+    @pytest.mark.parametrize("prep", ["equilibrium", "factorizing", "factorize-and-wait"])
+    def test_no_object_is_checked_twice(self, capsys, monkeypatch, subcommand, prep):
+        # every checked object is kept, so no id is reused by a later object
+        checked = []
+        original = spinprep.linalg.validate_density
+
+        def keeping(rho):
+            checked.append(rho)
+            return original(rho)
+
+        for module in (spinprep.linalg, spinprep.prepare):
+            monkeypatch.setattr(module, "validate_density", keeping)
+        code, _, _ = run(capsys, subcommand, f"--prep={prep}")
+        assert code == 0
+        assert checked
+        assert len({id(rho) for rho in checked}) == len(checked)
 
     @pytest.mark.parametrize(
         "argv",

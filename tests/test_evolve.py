@@ -156,6 +156,13 @@ class TestFactorizingPropagator:
         assert_close(g_map.bloch, rot, 1e-12, "rotation block")
         assert np.abs(g_map.offset).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_environment_state_must_be_a_qubit_state(self, n):
+        # the shape is checked before any matrix product meets u
+        u = propagator(hamiltonian(ModelParams(1.0, 1.0, 1.0), 0.0), 0.7)
+        with pytest.raises(DimensionError, match=rf"^rho_B0 must be 2x2, got \({n}, {n}\)$"):
+            factorizing_propagator(u, np.eye(n) / n)
+
 
 class TestInvertPropagator:
     def test_identity(self):

@@ -39,6 +39,7 @@ from spinprep import (
     partial_trace,
     propagator,
     qubit_bloch,
+    reduced_evolution,
     reduced_from_bloch,
     susceptibility,
     ValidationError,
@@ -557,11 +558,13 @@ class TestMori:
             MoriLinearResponse(MODEL, ())
 
     def test_extrapolation_warning_outside_trust_region(self):
-        # the warning points at the first frame outside prepare.py, here
-        # this file, whether reached through blow_up or called directly
+        # the warning points at the first frame outside prepare.py and
+        # evolve.py, here this file, whether reached through blow_up or
+        # reduced_evolution or called directly
         model = ModelParams(1.0, 1.0, 1.0)
         prep = MoriLinearResponse(model, (SZ,))
-        for fn in (blow_up, mori_blow_up):
+        u = propagator(hamiltonian(model, 0.0), 0.7)
+        for fn in (blow_up, mori_blow_up, lambda p, rho_s: reduced_evolution(p, u, rho_s)):
             with pytest.warns(ExtrapolationWarning) as record:
                 fn(prep, z_state(0.5))
             assert [w.filename for w in record] == [__file__]
@@ -616,6 +619,24 @@ class TestFactorizeAndWait:
     def test_bad_waiting_time(self):
         with pytest.raises(ValueError):
             FactorizeAndWait(MODEL, 0.0, 0.0, ID2 / 2)
+
+    @pytest.mark.parametrize(
+        "rho_b0, error, message",
+        [
+            (
+                np.diag([1.5, -0.5]),
+                ValidationError,
+                "rho_B0 is not a valid density matrix (hermiticity defect 0.000e+00, "
+                "trace defect 0.000e+00, min eigenvalue -5.000e-01)",
+            ),
+            (np.eye(4) / 4, DimensionError, "rho_B0 must be 2x2, got (4, 4)"),
+        ],
+        ids=["not-a-state", "4x4"],
+    )
+    def test_environment_state_is_checked(self, rho_b0, error, message):
+        with pytest.raises(error) as err:
+            FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=rho_b0)
+        assert str(err.value) == message
 
     def test_trace_back_inside_range(self):
         from spinprep import factorizing_propagator
