@@ -406,18 +406,8 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check
     else:
         samples = [_z_state(float(s)) for s in targets]
     prep, samples = _prepared(cfg, model, samples)
-
-    def image(rho_s):
-        state = blow_up(prep, rho_s)
-        # the Mori blow-up can leave the states; it is affine, so every image
-        # is a mix of the two end images, and those two are checked
-        if cfg["prep"] == "mori" and (rho_s is samples[0] or rho_s is samples[-1]):
-            require_density(state, "the Mori blow-up of an end sample")
-        return state
-
-    defect = affinity_defect(image, samples, cfg["lambdas"])
-    # a quadratic nonlinearity moves the defect by about the spread squared:
-    # samples closer than the square root of the gate cannot show one above it
+    # refused before any blow-up: a quadratic nonlinearity moves the defect by about
+    # the spread squared, so samples closer than the root of the gate cannot show one
     key = ("affinity", cfg["prep"])
     floor = math.sqrt(_THRESHOLDS[key][0] * cfg["tolerance_scale"])
     # hypot, which neither underflows nor overflows: the largest Frobenius distance
@@ -428,6 +418,16 @@ def _run_affinity(cfg: dict, model: ModelParams) -> tuple[tuple, str, list[Check
             "the square root of the gate, where no quadratic nonlinearity shows; widen --s1z-max "
             "or lower --tolerance-scale"
         )
+
+    def image(rho_s):
+        state = blow_up(prep, rho_s)
+        # the Mori blow-up can leave the states; it is affine, so every image
+        # is a mix of the two end images, and those two are checked
+        if cfg["prep"] == "mori" and (rho_s is samples[0] or rho_s is samples[-1]):
+            require_density(state, "the Mori blow-up of an end sample")
+        return state
+
+    defect = affinity_defect(image, samples, cfg["lambdas"])
     check = _gate(cfg, model.g, key, f"affinity_{cfg['prep']}_bg_{_fmt(model.g)}", defect)
     # one row: the --prep name and beta_e sit in the template before the coupling
     return (defect,), f"{cfg['prep']},{_fmt(model.e)},{_template(model, 1)}", [check]

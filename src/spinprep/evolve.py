@@ -23,11 +23,24 @@ from .linalg import partial_trace, require_density
 from .model import ID2, PAULIS, qubit_bloch, reduced_from_bloch_unchecked
 
 
+def _store(frozen, **values) -> None:
+    """Set values on the frozen dataclass instance frozen, each array (or array
+    of a tuple) made read-only first: the one way a preparation or an affine
+    map keeps an array, so that every array a blow-up reads is a value."""
+    for name, value in values.items():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        object.__setattr__(frozen, name, value)
+
+
 def propagator(H, t: float) -> np.ndarray:
     """U(t) = exp(-i H t) for a Hermitian H.
 
     A phase w * t that is not finite (an energy times a time beyond the
-    largest double, or a time that is not finite) raises ValidationError.
+    largest double, or a time that is not finite) raises ValidationError,
+    and so does a finite one with max |w t| >= 2^53: there the rounding of
+    an energy alone moves the phase by about a radian.
     """
 
     def phase(w: np.ndarray) -> np.ndarray:
@@ -35,6 +48,9 @@ def propagator(H, t: float) -> np.ndarray:
             wt = w * t
         if not np.isfinite(wt).all():
             raise ValidationError(f"phase w*t of exp(-i H t) is not finite at t = {t!r}")
+        largest = max(map(abs, wt.tolist()))
+        if largest >= 2.0**53:
+            raise ValidationError(f"phase w*t of exp(-i H t) is {largest:.3e} >= 2^53 at t = {t!r}: all roundoff")
         return np.exp(-1j * wt)
 
     return matrix_function(H, phase)
@@ -62,10 +78,13 @@ def reduced_evolution(prep, u: np.ndarray, rho_S) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReducedAffineMap:
-    """Trace-preserving affine map on qubit states: S -> bloch @ S + offset."""
+    """Trace-preserving affine map S -> bloch @ S + offset on qubit states; stores read-only float copies."""
 
     bloch: np.ndarray
     offset: np.ndarray
+
+    def __post_init__(self):
+        _store(self, bloch=np.array(self.bloch, dtype=float), offset=np.array(self.offset, dtype=float))
 
     def apply(self, rho) -> np.ndarray:
         """Act on a 2x2 state (or any unit-trace Hermitian operator)."""
@@ -148,7 +167,7 @@ def fit_affine_map(samples) -> AffineFitReport:
         raise InsufficientSpanError(
             "samples do not span an affine family (all inputs coincide)"
         )
-    fitted = ReducedAffineMap(theta[1:, :].T.copy(), theta[0, :].copy())
+    fitted = ReducedAffineMap(theta[1:, :].T, theta[0, :])
     residual = max(float(np.linalg.norm(fitted.apply(a) - b)) for a, b in pairs)
     return AffineFitReport(fitted, residual)
 

@@ -19,7 +19,9 @@ Each class builds its model-only data once, at construction, and owns its
 blow-up (a private _total_state) that does only the per-state work; blow_up
 is the one public entry and holds the checks common to all five.
 
-All constructors and maps are pure; preparation values are immutable.
+All constructors and maps are pure.  Every array a blow-up reads is stored
+read-only (each class docstring names what it stores), an environment state
+as a copy of the caller's.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .errors import (
     UnreachableStateError,
     ValidationError,
 )
-from .evolve import ReducedAffineMap, factorizing_propagator, invert_propagator, propagator
+from .evolve import _store, factorizing_propagator, invert_propagator, propagator
 from .linalg import (
     DensityReport,
     as_operator,
@@ -62,15 +64,9 @@ TRACE_BACK_ATOL = 1e-10
 MORI_BETA_F_MAX = 0.2
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: the invariants a preparation stores stay fixed."""
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Equilibrium:
-    """Canonical preparation: vary the field on the system spin at fixed beta."""
+    """Canonical preparation: vary the field on the system spin at fixed beta; it stores only its model."""
 
     model: ModelParams
 
@@ -80,12 +76,13 @@ class Equilibrium:
 
 @dataclass(frozen=True, eq=False)
 class Factorizing:
-    """Product preparation rho_S (x) rho_B with a fixed environment state."""
+    """Product preparation rho_S (x) rho_B with a fixed environment state,
+    stored as rho_B, a read-only complex copy of the 2x2 state passed."""
 
     rho_B: np.ndarray
 
     def __post_init__(self):
-        require_density(self.rho_B, "rho_B", shape=(2, 2))
+        _store(self, rho_B=require_density(np.array(self.rho_B, dtype=complex), "rho_B", shape=(2, 2)))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return kron(rho_S, self.rho_B)
@@ -96,13 +93,13 @@ class OperatorSandwich:
     """sum_j (O_j (x) 1) rho^Fz (O_j' (x) 1) for system operator pairs (O_j, O_j').
 
     Construction builds the one reachable state (operator_sandwich_state) and
-    raises PreparationDomainError when it is not a density matrix.
+    raises PreparationDomainError when it is not a density matrix; it stores
+    that state, read-only.
     """
 
     model: ModelParams
     Fz: float
     ops: tuple
-    state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         state, report = operator_sandwich_state(self.model, self.Fz, self.ops)
@@ -112,7 +109,7 @@ class OperatorSandwich:
                 f"(hermiticity defect {report.hermiticity_defect:.3e}, trace defect "
                 f"{report.trace_defect:.3e}, min eigenvalue {report.min_eigenvalue:.3e})"
             )
-        object.__setattr__(self, "state", _frozen(state))
+        _store(self, state=state)
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return self.state.copy()
@@ -125,7 +122,8 @@ class FactorizeAndWait:
     Construction builds the waiting propagator u_wait = exp(-i H(Fz_wait) t0)
     once, reads the reduced waiting propagator G off it with
     factorizing_propagator, which checks rho_B0, and inverts G to G_inv; it
-    raises NonInvertibleError when G cannot be inverted.
+    raises NonInvertibleError when G cannot be inverted.  It stores, read-only,
+    rho_B0 (a complex copy of the state passed), u_wait, G and G_inv.
     A blow-up checks the pre-wait state sigma0 = G_inv(rho_S) and returns
     u_wait (sigma0 (x) rho_B0) u_wait^dagger.
     """
@@ -134,18 +132,14 @@ class FactorizeAndWait:
     Fz_wait: float
     t0: float
     rho_B0: np.ndarray
-    u_wait: np.ndarray = field(init=False, repr=False)
-    G: ReducedAffineMap = field(init=False, repr=False)
-    G_inv: ReducedAffineMap = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.t0 > 0.0:
             raise ValueError(f"waiting time t0 must be positive, got {self.t0}")
-        u_wait = _frozen(propagator(hamiltonian(self.model, self.Fz_wait), self.t0))
-        g_map = factorizing_propagator(u_wait, self.rho_B0)
-        object.__setattr__(self, "u_wait", u_wait)
-        object.__setattr__(self, "G", g_map)
-        object.__setattr__(self, "G_inv", invert_propagator(g_map))
+        rho_b0 = np.array(self.rho_B0, dtype=complex)
+        u_wait = propagator(hamiltonian(self.model, self.Fz_wait), self.t0)
+        g_map = factorizing_propagator(u_wait, rho_b0)
+        _store(self, rho_B0=rho_b0, u_wait=u_wait, G=g_map, G_inv=invert_propagator(g_map))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         sigma0 = self.G_inv.apply(rho_S)
@@ -165,26 +159,19 @@ class MoriLinearResponse:
     observables are the Hermitian system (2x2) operators conjugate to the
     external fields.
 
-    Construction computes the zero-field state rho0, its reduced state
-    rho0_S, the Kubo operators kubo[j] of the observables and the
-    susceptibility chi once, with chi's symmetry check, and inverts chi
-    through checked_inverse; it raises NonInvertibleError when chi cannot be
-    inverted (for instance for a repeated observable).  It then stores what
-    mori_fields needs per state: chi_inv, the Bloch rows
+    Construction computes the zero-field state rho0, the Kubo operators
+    kubo[j] of the observables and the susceptibility chi once, with chi's
+    symmetry check, and inverts chi through checked_inverse; it raises
+    NonInvertibleError when chi cannot be inverted (for instance for a
+    repeated observable).  It stores, read-only, rho0, kubo and chi, and
+    what mori_fields needs per state: chi_inv, the Bloch rows
     bloch_rows[j] = qubit_bloch(X_j)/2 of the observables
     (tr(X_j delta) = bloch_rows[j] . ds for a traceless Hermitian delta with
-    Bloch vector ds) and s0 = qubit_bloch(rho0_S).
+    Bloch vector ds) and s0 = qubit_bloch(Tr_env rho0).
     """
 
     model: ModelParams
     observables: tuple
-    rho0: np.ndarray = field(init=False, repr=False)
-    rho0_S: np.ndarray = field(init=False, repr=False)
-    kubo: tuple = field(init=False, repr=False)
-    chi: np.ndarray = field(init=False, repr=False)
-    chi_inv: np.ndarray = field(init=False, repr=False)
-    bloch_rows: np.ndarray = field(init=False, repr=False)
-    s0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.observables) == 0:
@@ -199,16 +186,9 @@ class MoriLinearResponse:
         if sym_defect > 1e-10 * (1.0 + float(np.abs(chi).max())):
             raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
         chi = 0.5 * (chi + chi.T)
-        chi_inv = checked_inverse(chi, "susceptibility matrix")
-        rho0_S = partial_trace(rho0, keep=0)
-        object.__setattr__(self, "rho0", _frozen(rho0))
-        object.__setattr__(self, "rho0_S", _frozen(rho0_S))
-        object.__setattr__(self, "kubo", tuple(_frozen(k) for k in kubo))
-        object.__setattr__(self, "chi", _frozen(chi))
-        object.__setattr__(self, "chi_inv", _frozen(chi_inv))
         rows = np.array([0.5 * qubit_bloch(x) for x in self.observables])
-        object.__setattr__(self, "bloch_rows", _frozen(rows))
-        object.__setattr__(self, "s0", _frozen(qubit_bloch(rho0_S)))
+        _store(self, rho0=rho0, kubo=tuple(kubo), chi=chi, chi_inv=checked_inverse(chi, "susceptibility matrix"),
+               bloch_rows=rows, s0=qubit_bloch(partial_trace(rho0, keep=0)))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return mori_blow_up(self, rho_S)

@@ -259,14 +259,45 @@ class TestAffinity:
         code, _, _ = run(capsys, "affinity", "--prep", "bogus")
         assert code == 2
 
-    @pytest.mark.parametrize("prep", ["equilibrium", "factorize-and-wait"])
-    def test_samples_of_one_state_are_an_input_error(self, capsys, prep):
+    @pytest.mark.parametrize(
+        "prep, floor",
+        [("equilibrium", "3.162e-05"), ("factorize-and-wait", "1.000e-05")],
+        ids=["equilibrium", "factorize-and-wait"],
+    )
+    def test_samples_of_one_state_are_an_input_error(self, capsys, prep, floor):
         # every target of |S1z| <= 1e-17 rounds to the maximally mixed state:
-        # the test would mix a state with itself and read roundoff as affine
+        # the test would mix a state with itself and read roundoff as affine.
+        # Their spread, 0, is below the floor, which is checked first
         code, out, err = run(capsys, "affinity", f"--prep={prep}", "--s1z-max=1e-17")
         assert code == 2
         assert out == ""
-        assert err == "spinprep: affinity test needs at least 2 distinct samples\n"
+        assert err == (
+            f"spinprep: affinity samples lie within 0.000e+00 of each other (Frobenius), below {floor}, "
+            "the square root of the gate, where no quadratic nonlinearity shows; widen --s1z-max "
+            "or lower --tolerance-scale\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--s1z-max=1e-15",), ("--prep=factorizing", "--s1z-max=1e-300")],
+        ids=["equilibrium-1e-15", "factorizing-1e-300"],
+    )
+    def test_samples_too_close_are_refused_before_any_blow_up(self, capsys, monkeypatch, argv):
+        # the spread floor reads only the samples, so it is checked first
+        calls = []
+        for module in (spinprep.cli, spinprep.prepare):
+            original = module.blow_up
+
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "blow_up", counting)
+        code, out, _ = run(capsys, "affinity", *argv)
+        assert (code, out, calls) == (2, "", [])
+        # the counter does count: the same preparation at the defaults blows up
+        assert run(capsys, "affinity", *argv[:-1])[0] == 0
+        assert calls
 
     @pytest.mark.parametrize(
         "argv, spread, floor",
@@ -388,7 +419,8 @@ class TestEvolve:
         "argv, eigenvalue, warned",
         [
             (("--beta-g=800",), "-3.279e-04", 1),
-            (("--beta-g=1e20",), "-3.123e-04", 1),
+            # a short time keeps |E t| ~ 1e15 below 2^53, where the phase has digits
+            (("--beta-g=1e20", "--time=1e-5"), "-3.123e-04", 1),
             (("--beta-e=40", "--beta-g=30"), "-1.145e-07", 0),
         ],
         ids=["bg-800", "bg-1e20", "be-40-bg-30"],
@@ -442,6 +474,23 @@ class TestEvolve:
         assert out == ""
         assert err.startswith("spinprep: ") and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, phase, time",
+        [
+            (("evolve", "--prep=factorizing", "--time=1e17"), "1.803e+17", "1e+17"),
+            (("evolve", "--prep=factorizing", "--evolve-fz=1e308"), "1.000e+308", "1.0"),
+            (("evolve", "--prep=factorizing", "--beta-e=1e308"), "1.000e+308", "1.0"),
+            (("affinity", "--prep=factorize-and-wait", "--beta-g=1e308"), "7.000e+307", "0.7"),
+        ],
+        ids=["time-1e17", "evolve-fz-1e308", "beta-e-1e308", "affinity-beta-g-1e308"],
+    )
+    def test_phase_with_no_significant_digit_is_an_input_error(self, capsys, argv, phase, time):
+        # at |w t| >= 2^53 the rounding of an energy alone moves exp(-i w t)
+        # by about a radian: the phase is roundoff, refused before any blow-up
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"spinprep: phase w*t of exp(-i H t) is {phase} >= 2^53 at t = {time}: all roundoff\n"
+
     @pytest.mark.parametrize("subcommand", ["affinity", "evolve"])
     def test_singular_waiting_propagator_is_an_input_error(self, capsys, tmp_path, subcommand):
         # H = g sx sx and rho_B0 = 1/2: G = diag(1, cos 2g t0, cos 2g t0),
@@ -457,14 +506,15 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("evolve", "--prep=factorizing", "--evolve-fz=1e308"),
-            ("affinity", "--prep=factorize-and-wait", "--beta-g=1e308"),
+            ("evolve", "--prep=factorizing", "--evolve-fz=1e308", "--time=1e-300"),
+            ("affinity", "--prep=factorize-and-wait", "--beta-g=1e308", "--t0=1e-300"),
         ],
         ids=["evolve-fz", "affinity-beta-g"],
     )
     def test_hamiltonian_near_the_largest_double_runs(self, capsys, argv):
         # its Hermitian part is formed without overflow, so the eigensolver
-        # converges and every CSV value is finite
+        # converges and every CSV value is finite; the time keeps each phase
+        # below 2^53, where it still has significant digits
         code, out, _ = run(capsys, *argv)
         assert code == 0
         _, *rows = out.splitlines()
@@ -761,7 +811,8 @@ class TestInputsNearTheLargestDouble:
         "argv",
         [
             ("sweep-bloch", "--beta-e=1e308"),
-            ("evolve", "--prep=factorizing", "--beta-e=1e308"),
+            # a time that keeps each phase below 2^53
+            ("evolve", "--prep=factorizing", "--beta-e=1e308", "--time=1e-300"),
             ("pechukas", "--beta-e=1e308"),
         ],
         ids=["sweep-bloch", "evolve-factorizing", "pechukas"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestPropagator:
         h = hamiltonian(ModelParams(1.0, 1.0, 1.5), 0.0)
         with pytest.raises(ValidationError, match="not finite"):
             propagator(h, t)
+
+    def test_phase_from_2_to_the_53_is_refused(self):
+        # there the rounding of an energy alone moves exp(-i w t) by about a
+        # radian; one ulp below 2^53 the phase is still evaluated
+        h = np.diag([1.0, -1.0])
+        below = math.nextafter(2.0**53, 0.0)
+        assert np.allclose(propagator(h, below), np.diag(np.exp([-1j * below, 1j * below])))
+        for t in (2.0**53, -(2.0**53), 1e300):
+            with pytest.raises(ValidationError, match=r"\^53"):
+                propagator(h, t)
 
 
 class TestEvolveTotal:
@@ -162,6 +174,22 @@ class TestFactorizingPropagator:
         u = propagator(hamiltonian(ModelParams(1.0, 1.0, 1.0), 0.0), 0.7)
         with pytest.raises(DimensionError, match=rf"^rho_B0 must be 2x2, got \({n}, {n}\)$"):
             factorizing_propagator(u, np.eye(n) / n)
+
+
+class TestReducedAffineMap:
+    def test_holds_read_only_float_copies(self, rng):
+        # a map is a value: the caller's arrays, edited later, do not move it,
+        # and every map built from it (compose, inverse, fit) is a value too
+        bloch, offset = [[0.9, 0.1, 0.0], [-0.1, 0.8, 0.0], [0.0, 0.0, 0.7]], np.array([0.02, -0.01, 0.05])
+        g_map = ReducedAffineMap(bloch, offset)
+        offset[0] = 1.0
+        assert g_map.offset.tolist() == [0.02, -0.01, 0.05]
+        pairs = [(rho, g_map.apply(rho)) for rho in (random_density(rng, 2) for _ in range(6))]
+        for made in (g_map, g_map.compose(g_map), invert_propagator(g_map), fit_affine_map(pairs).map):
+            for stored in (made.bloch, made.offset):
+                assert stored.dtype == float
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[(0,) * stored.ndim] = 0.0
 
 
 class TestInvertPropagator:

@@ -580,13 +580,14 @@ class TestMori:
     )
     def test_fields_match_a_solve_against_chi(self, observables, rng):
         # the reference solves chi F = excess with the excess read as
-        # tr(X_j (rho_S - rho0_S)); mori_fields applies the stored chi^-1 to
-        # the Bloch-vector form of the same excess
+        # tr(X_j (rho_S - Tr_env rho0)); mori_fields applies the stored chi^-1
+        # to the Bloch-vector form of the same excess
         prep = MoriLinearResponse(MODEL, observables)
+        rho0_s = partial_trace(prep.rho0, keep=0)
         for _ in range(20):
-            s = qubit_bloch(prep.rho0_S) + 0.05 * rng.uniform(-1.0, 1.0, 3)
+            s = qubit_bloch(rho0_s) + 0.05 * rng.uniform(-1.0, 1.0, 3)
             rho_s = reduced_from_bloch(s)
-            excess = np.array([np.trace(x @ (rho_s - prep.rho0_S)).real for x in observables])
+            excess = np.array([np.trace(x @ (rho_s - rho0_s)).real for x in observables])
             reference = np.linalg.solve(prep.chi, excess)
             gap = np.linalg.norm(mori_fields(prep, rho_s) - reference)
             assert gap <= 1e-15 * np.linalg.norm(reference)
@@ -769,13 +770,6 @@ class TestAffineInvariantsBuiltOnce:
             blow_up(faw, faw.G.apply(z_state(s1z)))
             blow_up(sandwich, own)
         assert calls == []
-        stored_arrays = (
-            mori.rho0, mori.rho0_S, mori.chi, mori.chi_inv, mori.bloch_rows, mori.s0,
-            *mori.kubo, faw.u_wait, sandwich.state,
-        )
-        for stored in stored_arrays:
-            with pytest.raises(ValueError):
-                stored[(0,) * stored.ndim] = 0.0  # shared by every later blow-up: read-only
 
     def test_factorize_and_wait_reruns_the_wait(self):
         # u_wait (G^-1(rho_S) (x) rho_B0) u_wait^dagger is the evolution of the
@@ -788,3 +782,67 @@ class TestAffineInvariantsBuiltOnce:
             rho_s = prep.G.apply(reduced_from_bloch(np.array([0.2, -0.1, s1z]) * 0.95))
             direct = evolve_total(kron(prep.G_inv.apply(rho_s), rho_b), u_wait)
             assert_close(blow_up(prep, rho_s), direct, 1e-14, "factorize-and-wait blow-up")
+
+
+def _held_arrays(value, prefix=""):
+    """Every array a preparation or an affine map holds, by attribute path,
+    except the operators a preparation was given: OperatorSandwich.ops and
+    MoriLinearResponse.observables, which only its construction reads."""
+    held = {}
+    for name, item in vars(value).items():
+        if name in ("ops", "observables"):
+            continue
+        for i, a in enumerate(item if isinstance(item, tuple) else (item,)):
+            path = prefix + (f"{name}[{i}]" if isinstance(item, tuple) else name)
+            if isinstance(a, np.ndarray):
+                held[path] = a
+            elif isinstance(a, ReducedAffineMap):
+                held.update(_held_arrays(a, path + "."))
+    return held
+
+
+class TestStoredValues:
+    # a preparation sends each rho_S to one total state as long as it exists:
+    # every array its blow-up reads is read-only, and the environment state
+    # is a copy of the caller's
+
+    @pytest.mark.parametrize(
+        "build, paths",
+        [
+            (lambda: Equilibrium(MODEL), []),
+            (lambda: Factorizing([[0.5, 0.0], [0.0, 0.5]]), ["rho_B"]),
+            (lambda: OperatorSandwich(MODEL, 0.7, ((UP, UP), (DOWN, DOWN))), ["state"]),
+            (
+                lambda: FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=np.eye(2) / 2),
+                ["rho_B0", "u_wait", "G.bloch", "G.offset", "G_inv.bloch", "G_inv.offset"],
+            ),
+            (
+                lambda: MoriLinearResponse(MODEL, (SZ, SX)),
+                ["rho0", "kubo[0]", "kubo[1]", "chi", "chi_inv", "bloch_rows", "s0"],
+            ),
+        ],
+        ids=["equilibrium", "factorizing", "operator-sandwich", "factorize-and-wait", "mori"],
+    )
+    def test_every_held_array_is_read_only(self, build, paths):
+        held = _held_arrays(build())
+        assert sorted(held) == sorted(paths)
+        for stored in held.values():
+            with pytest.raises(ValueError, match="read-only"):
+                stored[(0,) * stored.ndim] = 0.0
+        assert all(held[path].dtype == complex for path in ("rho_B", "rho_B0") if path in held)
+
+    @pytest.mark.parametrize("kind", ["factorizing", "factorize-and-wait"])
+    def test_editing_the_environment_state_changes_no_blow_up(self, kind):
+        # the caller's array, edited after construction, is not the one the
+        # preparation holds: no later blow-up moves, and G still matches it
+        rho_b = np.eye(2) / 2
+        if kind == "factorizing":
+            prep = Factorizing(rho_b)
+            rho_s = np.diag([0.6, 0.4])
+        else:
+            prep = FactorizeAndWait(ModelParams(1.0, 1.0, 1.0), 0.0, 0.7, rho_b)
+            rho_s = prep.G.apply(np.diag([0.6, 0.4]))
+        before = blow_up(prep, rho_s)
+        rho_b[0, 0] = 5.0
+        after = blow_up(prep, rho_s)
+        assert np.array_equal(after, before)
