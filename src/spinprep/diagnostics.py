@@ -121,7 +121,7 @@ def linearity_scan(model: ModelParams, s1z_grid) -> LinearityReport:
     or with fewer than 2 distinct values, raises ValueError: no line is
     fitted through it.
     """
-    s1z = np.asarray(s1z_grid, dtype=float)
+    s1z = np.array(s1z_grid, dtype=float)  # a copy: the report outlives the caller's grid
     if s1z.size < 3:
         raise ValueError(f"linearity scan needs at least 3 grid points, got {s1z.size}")
     if not (s1z != s1z[0]).any():

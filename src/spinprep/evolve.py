@@ -24,13 +24,12 @@ from .model import ID2, PAULIS, qubit_bloch, reduced_from_bloch_unchecked
 
 
 def _store(frozen, **values) -> None:
-    """Set values on the frozen dataclass instance frozen, each array (or array
-    of a tuple) made read-only first: the one way a preparation or an affine
-    map keeps an array, so that every array a blow-up reads is a value."""
+    """Set values on the frozen dataclass instance frozen, each array made
+    read-only first: the one way a preparation or an affine map keeps a value.
+    Each caller passes arrays of its own, so every array held is a copy."""
     for name, value in values.items():
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         object.__setattr__(frozen, name, value)
 
 

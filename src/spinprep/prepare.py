@@ -19,9 +19,9 @@ Each class builds its model-only data once, at construction, and owns its
 blow-up (a private _total_state) that does only the per-state work; blow_up
 is the one public entry and holds the checks common to all five.
 
-All constructors and maps are pure.  Every array a blow-up reads is stored
-read-only (each class docstring names what it stores), an environment state
-as a copy of the caller's.
+All constructors and maps are pure.  Every array a preparation holds is one
+read-only copy (each class docstring names what it stores), the arrays the
+caller passed included.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class OperatorSandwich:
     """sum_j (O_j (x) 1) rho^Fz (O_j' (x) 1) for system operator pairs (O_j, O_j').
 
     Construction builds the one reachable state (operator_sandwich_state) and
-    raises PreparationDomainError when it is not a density matrix; it stores
-    that state, read-only.
+    raises PreparationDomainError when it is not a density matrix; it stores,
+    read-only, that state and ops, an (n, 2, 2, 2) complex copy of the pairs.
     """
 
     model: ModelParams
@@ -109,7 +109,7 @@ class OperatorSandwich:
                 f"(hermiticity defect {report.hermiticity_defect:.3e}, trace defect "
                 f"{report.trace_defect:.3e}, min eigenvalue {report.min_eigenvalue:.3e})"
             )
-        _store(self, state=state)
+        _store(self, ops=np.array(self.ops, dtype=complex), state=state)
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return self.state.copy()
@@ -156,16 +156,16 @@ class FactorizeAndWait:
 class MoriLinearResponse:
     """Linear-response preparation around zero field.
 
-    observables are the Hermitian system (2x2) operators conjugate to the
+    observables are the n Hermitian system (2x2) operators conjugate to the
     external fields.
 
     Construction computes the zero-field state rho0, the Kubo operators
     kubo[j] of the observables and the susceptibility chi once, with chi's
     symmetry check, and inverts chi through checked_inverse; it raises
     NonInvertibleError when chi cannot be inverted (for instance for a
-    repeated observable).  It stores, read-only, rho0, kubo and chi, and
-    what mori_fields needs per state: chi_inv, the Bloch rows
-    bloch_rows[j] = qubit_bloch(X_j)/2 of the observables
+    repeated observable).  It stores, read-only, observables (an (n, 2, 2)
+    complex copy), kubo (stacked, (n, 4, 4)), rho0, chi and what mori_fields
+    needs per state: chi_inv, the Bloch rows bloch_rows[j] = qubit_bloch(X_j)/2
     (tr(X_j delta) = bloch_rows[j] . ds for a traceless Hermitian delta with
     Bloch vector ds) and s0 = qubit_bloch(Tr_env rho0).
     """
@@ -179,7 +179,7 @@ class MoriLinearResponse:
         rho0 = equilibrium_state(self.model, 0.0)
         h0 = hamiltonian(self.model, 0.0)
         total_obs = [embed_system(x) for x in self.observables]
-        kubo = [kubo_integral(h0, x, beta=self.model.beta) for x in total_obs]
+        kubo = np.array([kubo_integral(h0, x, beta=self.model.beta) for x in total_obs])
         # tr(dX_i K_j) = tr(X_i K_j): the Kubo integral is traceless
         chi = np.array([[float(np.trace(xi @ kj).real) for kj in kubo] for xi in total_obs])
         sym_defect = float(np.abs(chi - chi.T).max())
@@ -187,8 +187,9 @@ class MoriLinearResponse:
             raise ValidationError(f"susceptibility came out non-symmetric (defect {sym_defect:.3e})")
         chi = 0.5 * (chi + chi.T)
         rows = np.array([0.5 * qubit_bloch(x) for x in self.observables])
-        _store(self, rho0=rho0, kubo=tuple(kubo), chi=chi, chi_inv=checked_inverse(chi, "susceptibility matrix"),
-               bloch_rows=rows, s0=qubit_bloch(partial_trace(rho0, keep=0)))
+        _store(self, observables=np.array(self.observables, dtype=complex), rho0=rho0, kubo=kubo, chi=chi,
+               chi_inv=checked_inverse(chi, "susceptibility matrix"), bloch_rows=rows,
+               s0=qubit_bloch(partial_trace(rho0, keep=0)))
 
     def _total_state(self, rho_S: np.ndarray) -> np.ndarray:
         return mori_blow_up(self, rho_S)

@@ -398,6 +398,20 @@ class TestEvolve:
         assert code == 1
         assert summary_value(err, "evolution_fit_equilibrium_bg_0") == "fail"
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("beta_e, beta_g", [(1.0, 0.5), (1.0, 1.5), (0.7, 2.0), (2.0, 0.3), (1.0, 0.0)])
+    @pytest.mark.parametrize("prep", ["equilibrium", "factorizing", "mori", "factorize-and-wait"])
+    def test_every_state_returns_where_the_propagator_is_plus_or_minus_one(self, capsys, prep, beta_e, beta_g, k):
+        # at zero field H^2 = (beta_e^2 + beta_g^2) 1, so U(k pi / w) = (-1)^k
+        # with w = hypot(beta_e, beta_g): each prepared z state comes back as is
+        t = k * math.pi / math.hypot(beta_e, beta_g)
+        argv = (f"--prep={prep}", f"--beta-e={beta_e!r}", f"--beta-g={beta_g!r}", f"--time={t!r}", "--evolve-fz=0")
+        code, out, _ = run(capsys, "evolve", *argv)
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            _, s1z_in, sx_out, sy_out, sz_out = map(float, row.split(","))
+            assert max(abs(sz_out - s1z_in), abs(sx_out), abs(sy_out)) <= 1e-13, row
+
     @pytest.mark.parametrize("prep", ["equilibrium", "factorizing", "mori", "factorize-and-wait"])
     def test_one_propagator_per_coupling(self, capsys, monkeypatch, prep):
         # every state of a coupling shares one U = exp(-i H t); a

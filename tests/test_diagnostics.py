@@ -143,6 +143,15 @@ class TestLinearityScan:
             for name, values in report.curves.items():
                 assert bits([values[k]]) == bits([getattr(fresh, name)]), (model, s, name)
 
+    def test_report_keeps_its_own_grid(self):
+        # editing the caller's grid afterwards moves neither the report's
+        # S1z values nor their agreement with the curves computed at them
+        grid = np.linspace(-0.9, 0.9, 5)
+        report = linearity_scan(MODEL15, grid)
+        grid[0] = 0.5
+        assert report.s1z[0] == -0.9
+        assert report.curves["S2z"][0] == invert_field(MODEL15, report.s1z[0]).S2z
+
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             linearity_scan(MODEL15, [0.0, 0.1])

@@ -1,7 +1,9 @@
 """The exit-code table, exit_codes.txt, run through cli.main in-process.
 
 CI runs the same rows through the installed console script; here each row
-is one test, with RuntimeWarning as an error.
+is one test, with RuntimeWarning as an error.  Both runners check the same
+things: the exit code, and on exit 2 an empty stdout and a last stderr line
+that starts with "spinprep: ".
 """
 
 import pathlib
@@ -31,8 +33,9 @@ def test_row_gives_its_exit_code(capsys, expected, args):
             code, exited = main(args.split()), False
         except SystemExit as stop:
             code, exited = stop.code, True
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert exited == ("--help" in args.split())
     assert code == int(expected)
     if code == 2:
         assert out == ""
+        assert err.splitlines()[-1].startswith("spinprep: ")

@@ -785,51 +785,75 @@ class TestAffineInvariantsBuiltOnce:
 
 
 def _held_arrays(value, prefix=""):
-    """Every array a preparation or an affine map holds, by attribute path,
-    except the operators a preparation was given: OperatorSandwich.ops and
-    MoriLinearResponse.observables, which only its construction reads."""
+    """Every array a preparation or an affine map holds, by attribute path."""
     held = {}
     for name, item in vars(value).items():
-        if name in ("ops", "observables"):
-            continue
-        for i, a in enumerate(item if isinstance(item, tuple) else (item,)):
-            path = prefix + (f"{name}[{i}]" if isinstance(item, tuple) else name)
-            if isinstance(a, np.ndarray):
-                held[path] = a
-            elif isinstance(a, ReducedAffineMap):
-                held.update(_held_arrays(a, path + "."))
+        if isinstance(item, np.ndarray):
+            held[prefix + name] = item
+        elif isinstance(item, ReducedAffineMap):
+            held.update(_held_arrays(item, prefix + name + "."))
     return held
 
 
 class TestStoredValues:
     # a preparation sends each rho_S to one total state as long as it exists:
-    # every array its blow-up reads is read-only, and the environment state
-    # is a copy of the caller's
+    # every array it holds is a read-only copy, the caller's operators and
+    # environment state included
 
     @pytest.mark.parametrize(
-        "build, paths",
+        "build, shapes",
         [
-            (lambda: Equilibrium(MODEL), []),
-            (lambda: Factorizing([[0.5, 0.0], [0.0, 0.5]]), ["rho_B"]),
-            (lambda: OperatorSandwich(MODEL, 0.7, ((UP, UP), (DOWN, DOWN))), ["state"]),
+            (lambda: Equilibrium(MODEL), {}),
+            (lambda: Factorizing([[0.5, 0.0], [0.0, 0.5]]), {"rho_B": (2, 2)}),
             (
-                lambda: FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=np.eye(2) / 2),
-                ["rho_B0", "u_wait", "G.bloch", "G.offset", "G_inv.bloch", "G_inv.offset"],
+                lambda: OperatorSandwich(MODEL, 0.7, ((UP, UP / 2), (UP, UP / 2), (DOWN, DOWN))),
+                {"ops": (3, 2, 2, 2), "state": (4, 4)},
             ),
             (
-                lambda: MoriLinearResponse(MODEL, (SZ, SX)),
-                ["rho0", "kubo[0]", "kubo[1]", "chi", "chi_inv", "bloch_rows", "s0"],
+                lambda: FactorizeAndWait(MODEL, Fz_wait=0.0, t0=0.7, rho_B0=np.eye(2) / 2),
+                {"rho_B0": (2, 2), "u_wait": (4, 4), "G.bloch": (3, 3), "G.offset": (3,),
+                 "G_inv.bloch": (3, 3), "G_inv.offset": (3,)},
+            ),
+            (
+                lambda: MoriLinearResponse(MODEL, (SZ, SX, SY)),
+                {"observables": (3, 2, 2), "rho0": (4, 4), "kubo": (3, 4, 4), "chi": (3, 3),
+                 "chi_inv": (3, 3), "bloch_rows": (3, 3), "s0": (3,)},
             ),
         ],
         ids=["equilibrium", "factorizing", "operator-sandwich", "factorize-and-wait", "mori"],
     )
-    def test_every_held_array_is_read_only(self, build, paths):
+    def test_every_held_array_is_read_only(self, build, shapes):
+        # one array per name, the operators stacked: (n, 2, 2, 2) pairs,
+        # (n, 2, 2) observables and their (n, 4, 4) Kubo operators
         held = _held_arrays(build())
-        assert sorted(held) == sorted(paths)
+        assert {path: stored.shape for path, stored in held.items()} == shapes
         for stored in held.values():
             with pytest.raises(ValueError, match="read-only"):
                 stored[(0,) * stored.ndim] = 0.0
-        assert all(held[path].dtype == complex for path in ("rho_B", "rho_B0") if path in held)
+        assert all(held[path].dtype == complex for path in ("rho_B", "rho_B0", "ops", "observables") if path in held)
+
+    @pytest.mark.parametrize("wrong", [np.eye(4), np.eye(3)], ids=["4x4", "3x3"])
+    def test_an_operator_that_is_not_2x2_is_a_dimension_error(self, wrong):
+        # every operator is checked before the stacked copy is made, also one
+        # whose shape would not stack with the others
+        with pytest.raises(DimensionError):
+            OperatorSandwich(MODEL, 0.7, ((UP, UP), (wrong, wrong)))
+        with pytest.raises(DimensionError):
+            MoriLinearResponse(MODEL, (SZ, wrong))
+
+    def test_editing_a_sandwich_operator_leaves_recipe_and_state_agreeing(self):
+        up, down = UP.copy(), DOWN.copy()
+        prep = OperatorSandwich(MODEL, 0.7, ((up, up), (down, down)))
+        up[0, 0] = 0.5
+        state, report = operator_sandwich_state(prep.model, prep.Fz, prep.ops)
+        assert report.ok
+        assert np.array_equal(state, prep.state)
+
+    def test_editing_an_observable_leaves_recipe_and_chi_agreeing(self):
+        obs = np.array(SZ, dtype=complex)
+        prep = MoriLinearResponse(MODEL, (obs,))
+        obs[0, 0] = 7.0
+        assert np.array_equal(susceptibility(prep.model, prep.observables), prep.chi)
 
     @pytest.mark.parametrize("kind", ["factorizing", "factorize-and-wait"])
     def test_editing_the_environment_state_changes_no_blow_up(self, kind):
